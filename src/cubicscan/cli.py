@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -46,22 +45,12 @@ _PARSERS = {
 
 @dataclass(frozen=True)
 class CliConfig:
-    command: str
     input_path: str = "-"
     fmt: str = "auto"
     output: str = "text"
     n_max: int | None = None
     n: int | None = None
     allow_multi: bool = False
-    jobs: int = 1
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("CUBICSCAN_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read_input(path: str) -> str:
@@ -175,9 +164,7 @@ def cmd_scan(config: CliConfig, out: TextIO | None = None) -> int:
     out = out or sys.stdout
     if config.n_max is None:
         raise CubicGraphError("scan requires --n-max")
-    report = enumeration.scan_theorem(
-        config.n_max, allow_multi=config.allow_multi, jobs=config.jobs
-    )
+    report = enumeration.scan_theorem(config.n_max, allow_multi=config.allow_multi)
     _render_scan(report, config, out)
     return _scan_exit_code(report, from_corpus=False)
 
@@ -185,9 +172,8 @@ def cmd_scan(config: CliConfig, out: TextIO | None = None) -> int:
 def cmd_scan_corpus(config: CliConfig, out: TextIO | None = None) -> int:
     out = out or sys.stdout
     lines = _read_input(config.input_path).splitlines()
-    fmt = config.fmt if config.fmt in ("auto", "graph6", "sparse6") else "auto"
-    graphs = list(iter_graph_lines(lines, fmt))
-    report = enumeration.scan_corpus(graphs, jobs=config.jobs)
+    graphs = list(iter_graph_lines(lines, config.fmt))
+    report = enumeration.scan_corpus(graphs)
     _render_scan(report, config, out)
     return _scan_exit_code(report, from_corpus=True)
 
@@ -230,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="exhaustive premise scan")
     p_scan.add_argument("--n-max", type=int, help="largest vertex count to scan")
     p_scan.add_argument("--multi", action="store_true", help="include multigraphs")
-    p_scan.add_argument("--jobs", type=int, default=_default_jobs())
+    p_scan.add_argument(
+        "--jobs", type=int, help="accepted and ignored: the scan runs in one process"
+    )
     p_scan.add_argument(
         "--input",
         "-i",
@@ -254,30 +242,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            config = CliConfig(
-                command="analyze", input_path=args.input, fmt=args.format, output=args.output
-            )
+            config = CliConfig(input_path=args.input, fmt=args.format, output=args.output)
             return cmd_analyze(config)
         if args.command == "verify":
-            config = CliConfig(
-                command="verify", input_path=args.input, fmt=args.format, output=args.output
-            )
+            config = CliConfig(input_path=args.input, fmt=args.format, output=args.output)
             return cmd_verify(config)
         if args.command == "scan":
             config = CliConfig(
-                command="scan",
                 input_path=args.input or "-",
                 fmt=args.format,
                 output=args.output,
                 n_max=args.n_max,
                 allow_multi=args.multi,
-                jobs=args.jobs,
             )
             if args.input is not None:
                 return cmd_scan_corpus(config)
             return cmd_scan(config)
         if args.command == "generate":
-            config = CliConfig(command="generate", n=args.n, allow_multi=args.multi)
+            config = CliConfig(n=args.n, allow_multi=args.multi)
             return cmd_generate(config)
         raise AssertionError(f"unknown command {args.command}")
     except (CubicGraphError, OSError, ValueError) as exc:

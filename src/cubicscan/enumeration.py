@@ -14,13 +14,12 @@ bridgeless graph and reports the graphs that satisfy it.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import connectivity, matching
-from .errors import GenerationLimitError, OddVertexCountError
+from .errors import DisconnectedError, GenerationLimitError, OddVertexCountError
 from .formats import emit_sparse6
 from .graphs import CubicGraph, canonical_form, is_canonical_labeling, petersen
 
@@ -174,25 +173,13 @@ class ScanReport:
         }
 
 
-def _premise_worker(g: CubicGraph) -> bool:
-    return matching.all_two_factors_are_five_cycles(g)
-
-
-def _premise_map(graphs: list[CubicGraph], jobs: int) -> list[bool]:
-    if jobs <= 1 or len(graphs) < 2:
-        return [_premise_worker(g) for g in graphs]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return pool.map(_premise_worker, graphs, chunksize=16)
-
-
-def _scan_one_n(graphs: list[CubicGraph], n: int, jobs: int) -> NScanStats:
+def _scan_one_n(graphs: list[CubicGraph], n: int) -> NScanStats:
     started = time.perf_counter()
     bridgeless = list(filter_bridgeless(graphs))
     petersen_cert = canonical_form(petersen()).certificate
     positives = []
-    verdicts = _premise_map(bridgeless, jobs)
-    for g, positive in zip(bridgeless, verdicts):
-        if not positive:
+    for g in bridgeless:
+        if not matching.all_two_factors_are_five_cycles(g):
             continue
         cert = canonical_form(g).certificate
         positives.append(
@@ -212,7 +199,7 @@ def _scan_one_n(graphs: list[CubicGraph], n: int, jobs: int) -> NScanStats:
     )
 
 
-def scan_theorem(n_max: int, allow_multi: bool = False, jobs: int = 1) -> ScanReport:
+def scan_theorem(n_max: int, allow_multi: bool = False) -> ScanReport:
     """Run the all-5-cycle premise over every connected bridgeless cubic
     (multi)graph with up to n_max vertices.
 
@@ -226,7 +213,7 @@ def scan_theorem(n_max: int, allow_multi: bool = False, jobs: int = 1) -> ScanRe
     per_n = {}
     for n in n_range:
         graphs = list(generate_cubic_graphs(n, allow_multi))
-        per_n[n] = _scan_one_n(graphs, n, jobs)
+        per_n[n] = _scan_one_n(graphs, n)
     return ScanReport(
         n_range=n_range,
         allow_multi=allow_multi,
@@ -235,16 +222,22 @@ def scan_theorem(n_max: int, allow_multi: bool = False, jobs: int = 1) -> ScanRe
     )
 
 
-def scan_corpus(graphs: Iterable[CubicGraph], jobs: int = 1) -> ScanReport:
-    """Scan a user-supplied corpus instead of the internal generator."""
+def scan_corpus(graphs: Iterable[CubicGraph]) -> ScanReport:
+    """Scan a user-supplied corpus instead of the internal generator.
+
+    The theorem is about connected graphs, so the first disconnected
+    graph raises DisconnectedError.
+    """
     started = time.perf_counter()
     by_n: dict[int, list[CubicGraph]] = {}
     any_multi = False
     for g in graphs:
+        if not connectivity.is_connected(g):
+            raise DisconnectedError("scan requires connected graphs")
         by_n.setdefault(g.n, []).append(g)
         any_multi = any_multi or g.has_parallel_edges
     n_range = tuple(sorted(by_n))
-    per_n = {n: _scan_one_n(by_n[n], n, jobs) for n in n_range}
+    per_n = {n: _scan_one_n(by_n[n], n) for n in n_range}
     return ScanReport(
         n_range=n_range,
         allow_multi=any_multi,

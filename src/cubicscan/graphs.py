@@ -222,6 +222,12 @@ def is_canonical_labeling(g: CubicGraph) -> bool:
     when one drops below it. Rejections abort early, which is what the
     orderly generator needs.
     """
+    # Kept separate from the BFS on purpose; both merges were measured
+    # slower. canonical_form on the DFS took 2.5 s against 0.17 s on
+    # random cubic graphs at n = 60 (64 s against 0.15 s at n = 120): it
+    # dives into dominated branches before its bound is tight. This test
+    # on the BFS took 4.1-4.8 s against 1.0-1.5 s over the 9,609
+    # block-wise labeled candidates at n = 12.
     n = g.n
     adj = g.neighbor_lists
     ref = _upward_blocks(n, g.edges)

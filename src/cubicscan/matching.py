@@ -28,6 +28,7 @@ __all__ = [
     "enumerate_perfect_matchings",
     "complementary_two_factor",
     "cycle_spectrum",
+    "five_cycle_premise_witness",
     "all_two_factors_are_five_cycles",
     "exists_pm_with_edge",
     "exists_pm_avoiding_edge",
@@ -191,43 +192,28 @@ def cycle_spectrum(factor: TwoFactor) -> CycleSpectrum:
     return tuple(sorted(len(cycle) for cycle in factor.cycles))
 
 
-def _complement_spectrum(g: CubicGraph, matching: PerfectMatching) -> CycleSpectrum:
-    # length-only walk over the complement, skipping cycle bookkeeping
-    factor_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in matching:
-            factor_adj[u].append((v, eid))
-            factor_adj[v].append((u, eid))
-    lengths = []
-    visited = [False] * g.n
-    for start in range(g.n):
-        if visited[start]:
-            continue
-        visited[start] = True
-        length = 1
-        current, via = factor_adj[start][0]
-        while current != start:
-            visited[current] = True
-            length += 1
-            first, second = factor_adj[current]
-            current, via = second if first[1] == via else first
-        lengths.append(length)
-    return tuple(sorted(lengths))
+def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
+    """None iff g has a perfect matching and every complementary 2-factor
+    splits into 5-cycles only; otherwise a JSON-ready witness.
 
-
-def all_two_factors_are_five_cycles(g: CubicGraph) -> bool:
-    """True iff g has a perfect matching and every complementary 2-factor
-    splits into 5-cycles only.
-
-    Requiring at least one matching keeps matching-free graphs from
-    passing vacuously.
+    The witness is ``{"reason": "no perfect matching"}`` for a graph
+    without one, which keeps it from passing vacuously, or
+    ``{"matching": [edge ids, ascending], "spectrum": [cycle lengths]}``
+    for the first matching, in enumeration order, whose 2-factor has a
+    cycle of another length.
     """
     found = False
     for matching in _perfect_matchings(g):
         found = True
-        if any(length != 5 for length in _complement_spectrum(g, matching)):
-            return False
-    return found
+        spectrum = cycle_spectrum(complementary_two_factor(g, matching))
+        if any(length != 5 for length in spectrum):
+            return {"matching": sorted(matching), "spectrum": list(spectrum)}
+    return None if found else {"reason": "no perfect matching"}
+
+
+def all_two_factors_are_five_cycles(g: CubicGraph) -> bool:
+    """The all-5-cycle premise: ``five_cycle_premise_witness`` finds none."""
+    return five_cycle_premise_witness(g) is None
 
 
 def exists_pm_with_edge(g: CubicGraph, eid: int) -> bool:
@@ -261,5 +247,6 @@ def exists_triangle_free_two_factor(g: CubicGraph) -> bool:
     if g.has_parallel_edges:
         raise MultigraphError("triangle-free 2-factor check is defined for simple graphs")
     return any(
-        _complement_spectrum(g, m)[0] >= 4 for m in _perfect_matchings(g)
+        cycle_spectrum(complementary_two_factor(g, m))[0] >= 4
+        for m in _perfect_matchings(g)
     )

@@ -278,23 +278,10 @@ def verify_claims(g: CubicGraph) -> ClaimReport:
     petersen_like = is_isomorphic(g, petersen())
     results["PROP4"] = ClaimResult(not (g.n == 10 and girth_value == 5) or petersen_like)
 
-    premise = True
-    premise_witness: dict | None = None
-    matchings = matching.enumerate_perfect_matchings(g)
-    if not matchings:
-        premise = False
-        premise_witness = {"reason": "no perfect matching"}
-    else:
-        for m in matchings:
-            spectrum = matching.cycle_spectrum(matching.complementary_two_factor(g, m))
-            if any(length != 5 for length in spectrum):
-                premise = False
-                premise_witness = {"matching": sorted(m), "spectrum": list(spectrum)}
-                break
-
+    premise_witness = matching.five_cycle_premise_witness(g)
     return ClaimReport(
         graph_certificate=canonical_form(g).certificate.decode("ascii"),
-        premise_holds=premise,
+        premise_holds=premise_witness is None,
         premise_witness=premise_witness,
         claim_results=results,
         is_petersen=petersen_like,

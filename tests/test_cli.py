@@ -5,9 +5,11 @@ import re
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from cubicscan.cli import main
 from cubicscan.formats import emit_edgelist, emit_sparse6
+from cubicscan.graphs import from_edge_list
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -133,6 +135,25 @@ def test_scan_corpus_file(tmp_path, capsys, petersen_graph, k4):
     assert [p["is_petersen"] for p in payload["positives"]] == [True]
 
 
+def test_scan_corpus_rejects_disconnected_graph_with_exit_2(tmp_path, capsys, petersen_graph):
+    # two disjoint Petersen graphs satisfy the premise but are not connected
+    shifted = [(u + 10, v + 10) for u, v in petersen_graph.edges]
+    twins = from_edge_list(20, list(petersen_graph.edges) + shifted)
+    path = _write(tmp_path, "twins.s6", emit_sparse6(twins) + b"\n")
+    code = main(["scan", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "connected" in captured.err
+    assert "positive" not in captured.out
+
+
+def test_scan_corpus_rejects_edgelist_format(tmp_path, capsys, k4):
+    path = _write(tmp_path, "k4.txt", emit_edgelist(k4))
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "-i", path, "--format", "edgelist"])
+    assert exc.value.code == 2
+
+
 def test_scan_json_deterministic(capsys):
     _, first = _run_json(capsys, ["scan", "--n-max", "8", "--output", "json"])
     _, second = _run_json(capsys, ["scan", "--n-max", "8", "--output", "json"])
@@ -195,6 +216,17 @@ def test_scan_with_explicit_jobs(capsys):
     assert payload["per_n"]["6"]["generated"] == 2
 
 
+def test_scan_jobs_flag_changes_nothing(capsys):
+    def scan(jobs):
+        _, payload = _run_json(capsys, ["scan", "--n-max", "8", "--jobs", jobs, "--output", "json"])
+        payload.pop("elapsed_seconds")
+        for stats in payload["per_n"].values():
+            stats.pop("elapsed_seconds")
+        return payload
+
+    assert scan("2") == scan("1")
+
+
 def test_scan_exit_code_flags_unexpected_positives():
     # no real graph can trigger exit 1 (that is the point of the scan),
     # so exercise the contract on synthetic reports
@@ -217,15 +249,3 @@ def test_scan_exit_code_flags_unexpected_positives():
     # reaching n >= 10 without finding the expected graph is not
     assert _scan_exit_code(report(()), from_corpus=True) == EXIT_OK
     assert _scan_exit_code(report(()), from_corpus=False) == EXIT_FALSIFIED
-
-
-def test_jobs_default_comes_from_environment(monkeypatch):
-    import cubicscan.cli as cli_module
-
-    monkeypatch.setenv("CUBICSCAN_JOBS", "3")
-    parser = cli_module.build_parser()
-    args = parser.parse_args(["scan", "--n-max", "4"])
-    assert args.jobs == 3
-    monkeypatch.setenv("CUBICSCAN_JOBS", "not-a-number")
-    args = cli_module.build_parser().parse_args(["scan", "--n-max", "4"])
-    assert args.jobs == 1

@@ -121,6 +121,21 @@ def test_two_factor_cycles_are_walkable(petersen_graph):
             assert set(petersen_graph.edges[eid]) == {a, b}
 
 
+def test_complementary_two_factor_walk_is_pinned(prism, bridged8, triple_edge):
+    # each cycle starts at its smallest vertex and leaves it by the
+    # smaller (neighbor, edge id) entry; parallel edges pin the direction
+    def walk(g, m):
+        return [(c.vertices, c.edge_ids) for c in complementary_two_factor(g, m).cycles]
+
+    assert walk(prism, frozenset({0, 3, 8})) == [((0, 2, 1, 4, 5, 3), (2, 1, 7, 4, 5, 6))]
+    assert walk(bridged8, frozenset({3, 4, 7, 10})) == [
+        ((0, 1, 2), (0, 2, 1)),
+        ((3, 4, 7, 6, 5), (5, 8, 11, 9, 6)),
+    ]
+    assert walk(triple_edge, frozenset({0})) == [((0, 1), (1, 2))]
+    assert walk(triple_edge, frozenset({1})) == [((0, 1), (0, 2))]
+
+
 def test_complementary_two_factor_rejects_non_matching(k4):
     with pytest.raises(MatchingError):
         complementary_two_factor(k4, frozenset({0, 1}))

@@ -80,6 +80,28 @@ def test_heawood_report(heawood):
     assert report.claim_results["PROP4"].holds
 
 
+def test_premise_witness_is_the_first_failing_matching(prism, bridged8, triple_edge):
+    # matchings are tried in enumeration order; the witness is the first
+    # whose 2-factor has a cycle other than a 5-cycle
+    assert verify_claims(prism).premise_witness == {"matching": [0, 3, 8], "spectrum": [6]}
+    assert verify_claims(bridged8).premise_witness == {
+        "matching": [2, 4, 7, 10],
+        "spectrum": [3, 5],
+    }
+    assert verify_claims(triple_edge).premise_witness == {"matching": [0], "spectrum": [2]}
+
+
+def test_premise_witness_without_a_perfect_matching():
+    # three bridges from vertex 0, each to a triangle with one doubled edge:
+    # removing vertex 0 leaves three odd components
+    edges = []
+    for a in (1, 4, 7):
+        edges += [(0, a), (a, a + 1), (a, a + 2), (a + 1, a + 2), (a + 1, a + 2)]
+    report = verify_claims(CubicGraph(n=10, edges=tuple(edges)))
+    assert not report.premise_holds
+    assert report.premise_witness == {"reason": "no perfect matching"}
+
+
 def test_premise_failure_always_carries_a_matching_witness():
     for n in (4, 6, 8):
         for g in generate_cubic_graphs(n, allow_multi=True):
