@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 from . import enumeration, matching, verifier
@@ -43,16 +42,6 @@ _PARSERS = {
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    input_path: str = "-"
-    fmt: str = "auto"
-    output: str = "text"
-    n_max: int | None = None
-    n: int | None = None
-    allow_multi: bool = False
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -60,8 +49,8 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _load_single_graph(config: CliConfig) -> CubicGraph:
-    return _PARSERS[config.fmt](_read_input(config.input_path))
+def _load_single_graph(args: argparse.Namespace) -> CubicGraph:
+    return _PARSERS[args.format](_read_input(args.input))
 
 
 def _emit_json(payload: dict, out: TextIO) -> None:
@@ -69,9 +58,9 @@ def _emit_json(payload: dict, out: TextIO) -> None:
     out.write("\n")
 
 
-def cmd_analyze(config: CliConfig, out: TextIO | None = None) -> int:
+def cmd_analyze(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
-    g = _load_single_graph(config)
+    g = _load_single_graph(args)
     matchings = matching.enumerate_perfect_matchings(g)
     spectra = Counter(
         matching.cycle_spectrum(matching.complementary_two_factor(g, m))
@@ -91,7 +80,7 @@ def cmd_analyze(config: CliConfig, out: TextIO | None = None) -> int:
         ],
         "all_two_factors_are_five_cycles": matching.all_two_factors_are_five_cycles(g),
     }
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(payload, out)
     else:
         out.write(f"vertices            {payload['n']}\n")
@@ -108,12 +97,12 @@ def cmd_analyze(config: CliConfig, out: TextIO | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: CliConfig, out: TextIO | None = None) -> int:
+def cmd_verify(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
-    g = _load_single_graph(config)
+    g = _load_single_graph(args)
     report = verifier.verify_claims(g)
     payload = {"report": "verify", **report.to_json_dict()}
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(payload, out)
     else:
         out.write(f"certificate   {report.graph_certificate}\n")
@@ -142,9 +131,11 @@ def _scan_exit_code(report: enumeration.ScanReport, from_corpus: bool) -> int:
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
-def _render_scan(report: enumeration.ScanReport, config: CliConfig, out: TextIO) -> None:
+def _render_scan(
+    report: enumeration.ScanReport, args: argparse.Namespace, out: TextIO
+) -> None:
     payload = {"report": "scan", **report.to_json_dict()}
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(payload, out)
         return
     out.write("   n  generated  bridgeless  positives\n")
@@ -160,28 +151,29 @@ def _render_scan(report: enumeration.ScanReport, config: CliConfig, out: TextIO)
     out.write(f"elapsed {report.elapsed_seconds:.2f}s\n")
 
 
-def cmd_scan(config: CliConfig, out: TextIO | None = None) -> int:
+def cmd_scan(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
-    if config.n_max is None:
+    if args.input is not None:
+        return cmd_scan_corpus(args, out)
+    if args.n_max is None:
         raise CubicGraphError("scan requires --n-max")
-    report = enumeration.scan_theorem(config.n_max, allow_multi=config.allow_multi)
-    _render_scan(report, config, out)
+    report = enumeration.scan_theorem(args.n_max, allow_multi=args.multi)
+    _render_scan(report, args, out)
     return _scan_exit_code(report, from_corpus=False)
 
 
-def cmd_scan_corpus(config: CliConfig, out: TextIO | None = None) -> int:
+def cmd_scan_corpus(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
-    lines = _read_input(config.input_path).splitlines()
-    graphs = list(iter_graph_lines(lines, config.fmt))
+    lines = _read_input(args.input).splitlines()
+    graphs = list(iter_graph_lines(lines, args.format))
     report = enumeration.scan_corpus(graphs)
-    _render_scan(report, config, out)
+    _render_scan(report, args, out)
     return _scan_exit_code(report, from_corpus=True)
 
 
-def cmd_generate(config: CliConfig, out: TextIO | None = None) -> int:
+def cmd_generate(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
-    assert config.n is not None
-    for g in enumeration.generate_cubic_graphs(config.n, allow_multi=config.allow_multi):
+    for g in enumeration.generate_cubic_graphs(args.n, allow_multi=args.multi):
         out.write(emit_sparse6(g).decode("ascii") + "\n")
     return EXIT_OK
 
@@ -208,10 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="profile a single graph")
     add_io(p_analyze)
     add_output(p_analyze)
+    p_analyze.set_defaults(func=cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="check the claim chain on a single graph")
     add_io(p_verify)
     add_output(p_verify)
+    p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="exhaustive premise scan")
     p_scan.add_argument("--n-max", type=int, help="largest vertex count to scan")
@@ -229,10 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("auto", "graph6", "sparse6"), default="auto"
     )
     add_output(p_scan)
+    p_scan.set_defaults(func=cmd_scan)
 
     p_generate = sub.add_parser("generate", help="emit a canonical corpus as sparse6")
     p_generate.add_argument("--n", type=int, required=True, help="vertex count")
     p_generate.add_argument("--multi", action="store_true", help="include multigraphs")
+    p_generate.set_defaults(func=cmd_generate)
 
     return parser
 
@@ -241,27 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "analyze":
-            config = CliConfig(input_path=args.input, fmt=args.format, output=args.output)
-            return cmd_analyze(config)
-        if args.command == "verify":
-            config = CliConfig(input_path=args.input, fmt=args.format, output=args.output)
-            return cmd_verify(config)
-        if args.command == "scan":
-            config = CliConfig(
-                input_path=args.input or "-",
-                fmt=args.format,
-                output=args.output,
-                n_max=args.n_max,
-                allow_multi=args.multi,
-            )
-            if args.input is not None:
-                return cmd_scan_corpus(config)
-            return cmd_scan(config)
-        if args.command == "generate":
-            config = CliConfig(n=args.n, allow_multi=args.multi)
-            return cmd_generate(config)
-        raise AssertionError(f"unknown command {args.command}")
+        return args.func(args)
     except (CubicGraphError, OSError, ValueError) as exc:
         print(f"cubicscan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

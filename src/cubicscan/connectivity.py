@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator
 
 from .errors import DisconnectedError
 from .graphs import CubicGraph
@@ -23,6 +25,7 @@ __all__ = [
     "find_adjacent_triangles",
     "find_square_triangle_pair",
     "find_cycle_of_length",
+    "edge_cuts",
     "enumerate_3_edge_cuts",
     "has_only_trivial_3_edge_cuts",
 ]
@@ -30,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CutSet:
-    """An edge cut of size 3 together with the two sides it separates.
+    """An edge cut together with the two sides it separates.
 
     Removing ``edges`` disconnects ``side_u`` from ``side_ubar``; the
     sides partition the vertex set and every cut edge crosses between
@@ -47,21 +50,27 @@ class CutSet:
 
 
 def is_connected(g: CubicGraph) -> bool:
-    seen = _component_from(g, 0, excluded_edge=None)
-    return len(seen) == g.n
+    return max(_components(g, ())) == 0
 
 
-def _component_from(g: CubicGraph, start: int, excluded_edge: int | None) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w, eid in g.adjacency[u]:
-            if eid == excluded_edge or w in seen:
-                continue
-            seen.add(w)
-            queue.append(w)
-    return seen
+def _components(g: CubicGraph, removed: tuple[int, ...]) -> list[int]:
+    """Component index of each vertex of G minus the ``removed`` edge ids,
+    numbered in order of each component's smallest vertex."""
+    comp = [-1] * g.n
+    count = 0
+    for start in range(g.n):
+        if comp[start] >= 0:
+            continue
+        comp[start] = count
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w, eid in g.adjacency[u]:
+                if comp[w] < 0 and eid not in removed:
+                    comp[w] = count
+                    stack.append(w)
+        count += 1
+    return comp
 
 
 def bridges(g: CubicGraph) -> list[int]:
@@ -250,30 +259,45 @@ def find_cycle_of_length(g: CubicGraph, k: int) -> tuple[int, ...] | None:
     return None
 
 
-def enumerate_3_edge_cuts(g: CubicGraph) -> list[CutSet]:
-    """All edge cuts of size exactly 3, each with its two sides.
+def edge_cuts(g: CubicGraph, k: int) -> Iterator[CutSet]:
+    """Every edge cut of size exactly k, each with its two sides, ordered
+    by sorted cut edge ids.
 
-    Enumerates vertex bipartitions (U, V-U) with a 3-edge boundary;
-    sides need not be connected, which matters below 3-edge-connectivity.
-    Ordered by sorted cut edge ids.
+    A k-subset of edges is a cut iff the components of G minus the
+    subset can be 2-coloured so that every subset edge crosses. G is
+    connected, so the subset edges join those components into a
+    connected graph, which has at most one such colouring with vertex
+    0 on ``side_u``: each subset bounds at most one bipartition, and
+    every bipartition is found once, from its own boundary. Sides need
+    not be connected, which matters below k-edge-connectivity.
+    Costs O(m^k * (n + m)).
     """
     if not is_connected(g):
         raise DisconnectedError("cut enumeration requires a connected graph")
-    cuts = []
-    # masks with bit 0 set cover each bipartition exactly once; the
-    # all-ones mask (empty complement) is excluded by the range bound
-    for mask in range(1, (1 << g.n) - 1, 2):
-        boundary = [
-            eid
-            for eid, (u, v) in enumerate(g.edges)
-            if ((mask >> u) & 1) != ((mask >> v) & 1)
-        ]
-        if len(boundary) != 3:
-            continue
-        side_u = tuple(v for v in range(g.n) if (mask >> v) & 1)
-        side_ubar = tuple(v for v in range(g.n) if not (mask >> v) & 1)
-        cuts.append(CutSet(edges=frozenset(boundary), side_u=side_u, side_ubar=side_ubar))
-    return sorted(cuts, key=lambda c: sorted(c.edges))
+    for subset in combinations(range(len(g.edges)), k):
+        comp = _components(g, subset)
+        arcs = [(comp[g.edges[eid][0]], comp[g.edges[eid][1]]) for eid in subset]
+        side = {0: True}
+        # at most k components wait for a colour, and each pass colours
+        # at least one of them
+        for _ in subset:
+            for a, b in arcs:
+                if a in side:
+                    side.setdefault(b, not side[a])
+                if b in side:
+                    side.setdefault(a, not side[b])
+        if any(side[a] == side[b] for a, b in arcs):
+            continue  # some subset edge lies inside one side
+        yield CutSet(
+            edges=frozenset(subset),
+            side_u=tuple(v for v in range(g.n) if side[comp[v]]),
+            side_ubar=tuple(v for v in range(g.n) if not side[comp[v]]),
+        )
+
+
+def enumerate_3_edge_cuts(g: CubicGraph) -> list[CutSet]:
+    """All edge cuts of size exactly 3; see ``edge_cuts``."""
+    return list(edge_cuts(g, 3))
 
 
 def has_only_trivial_3_edge_cuts(g: CubicGraph) -> bool:

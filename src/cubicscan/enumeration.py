@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import connectivity, matching
-from .errors import DisconnectedError, GenerationLimitError, OddVertexCountError
+from .errors import (
+    DisconnectedError,
+    DuplicateGraphError,
+    GenerationLimitError,
+    OddVertexCountError,
+)
 from .formats import emit_sparse6
 from .graphs import CubicGraph, canonical_form, is_canonical_labeling, petersen
 
@@ -226,14 +231,21 @@ def scan_corpus(graphs: Iterable[CubicGraph]) -> ScanReport:
     """Scan a user-supplied corpus instead of the internal generator.
 
     The theorem is about connected graphs, so the first disconnected
-    graph raises DisconnectedError.
+    graph raises DisconnectedError; counts are per isomorphism class, so
+    the first graph isomorphic to an earlier one raises
+    DuplicateGraphError.
     """
     started = time.perf_counter()
     by_n: dict[int, list[CubicGraph]] = {}
+    seen: set[bytes] = set()
     any_multi = False
     for g in graphs:
         if not connectivity.is_connected(g):
             raise DisconnectedError("scan requires connected graphs")
+        cert = canonical_form(g).certificate
+        if cert in seen:
+            raise DuplicateGraphError("corpus contains isomorphic duplicates")
+        seen.add(cert)
         by_n.setdefault(g.n, []).append(g)
         any_multi = any_multi or g.has_parallel_edges
     n_range = tuple(sorted(by_n))

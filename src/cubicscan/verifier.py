@@ -94,9 +94,9 @@ def _two_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int]]:
                 yield (u, v, w)
 
 
-def _count_five_cycles_through_path(g: CubicGraph, u: int, v: int, w: int) -> int:
-    """Number of distinct 5-cycles containing the path u-v-w."""
-    nbr = [set(row) for row in g.neighbor_lists]
+def _count_five_cycles_through_path(nbr: list[set[int]], u: int, v: int, w: int) -> int:
+    """Number of distinct 5-cycles containing the path u-v-w, given each
+    vertex's neighbour set."""
     count = 0
     for x in nbr[w] - {u, v}:
         for y in nbr[u] - {v, w, x}:
@@ -124,7 +124,7 @@ def _neighborhood_structure(g: CubicGraph) -> tuple[bool, dict | None]:
         if not any(y in nbr[u] for y in nbr[x] - {u, v, w}):
             return False, {"check": "3-edge path not on a 5-cycle", "path": [u, v, w, x]}
     for u, v, w in _two_edge_paths(g):
-        if _count_five_cycles_through_path(g, u, v, w) < 2:
+        if _count_five_cycles_through_path(nbr, u, v, w) < 2:
             return False, {
                 "check": "2-edge path on fewer than two 5-cycles",
                 "path": [u, v, w],
@@ -175,28 +175,6 @@ def verify_neighborhood_structure(g: CubicGraph) -> NeighborhoodCheck:
             f"neighborhood structure needs girth 5, got {girth_value}"
         )
     return NeighborhoodCheck(*_neighborhood_structure(g))
-
-
-def _min_cut_witness(g: CubicGraph) -> list[int]:
-    """Edge ids of some minimum cut of size < 3 (deterministic)."""
-    bridge_list = connectivity.bridges(g)
-    if bridge_list:
-        return [bridge_list[0]]
-    m = len(g.edges)
-    for first in range(m):
-        for second in range(first + 1, m):
-            seen = {0}
-            stack = [0]
-            while stack:
-                node = stack.pop()
-                for nbr, eid in g.adjacency[node]:
-                    if eid in (first, second) or nbr in seen:
-                        continue
-                    seen.add(nbr)
-                    stack.append(nbr)
-            if len(seen) != g.n:
-                return [first, second]
-    return []
 
 
 def verify_claims(g: CubicGraph) -> ClaimReport:
@@ -254,7 +232,12 @@ def verify_claims(g: CubicGraph) -> ClaimReport:
     lam = connectivity.edge_connectivity(g)
     results["C6"] = ClaimResult(
         lam == 3,
-        None if lam == 3 else {"edge_connectivity": lam, "cut": _min_cut_witness(g)},
+        None
+        if lam == 3
+        else {
+            "edge_connectivity": lam,
+            "cut": sorted(next(connectivity.edge_cuts(g, lam)).edges),
+        },
     )
 
     nonstar = next(

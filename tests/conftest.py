@@ -11,6 +11,10 @@ The small named graphs exercised throughout the suite:
   graph exists below 10 vertices
 * bridged10: two subdivided-K4 blocks joined by a bridge (simple)
 * heawood: the 14-vertex girth-6 graph, taken from networkx
+* prism15: the 15-prism C15 x K2 (n = 30), too large for any search
+  over vertex subsets
+* small_graphs: every generated connected cubic multigraph with
+  n <= 10 (simple graphs included), then bridged8 and bridged10
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.graphs import CubicGraph, from_edge_list, petersen
 
 
@@ -73,6 +78,24 @@ def bridged10() -> CubicGraph:
 def heawood() -> CubicGraph:
     g = nx.heawood_graph()
     return from_edge_list(g.number_of_nodes(), list(g.edges()))
+
+
+@pytest.fixture(scope="session")
+def prism15() -> CubicGraph:
+    k = 15
+    rungs = [(i, i + k) for i in range(k)]
+    cycles = [(i, (i + 1) % k) for i in range(k)] + [
+        (i + k, (i + 1) % k + k) for i in range(k)
+    ]
+    return from_edge_list(2 * k, rungs + cycles)
+
+
+@pytest.fixture(scope="session")
+def small_graphs(bridged8, bridged10) -> list[CubicGraph]:
+    generated = [
+        g for n in range(2, 11, 2) for g in generate_cubic_graphs(n, allow_multi=True)
+    ]
+    return generated + [bridged8, bridged10]
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's clever paths: labeled
 enumeration is plain backtracking over endpoint pairs, isomorphism goes
 through all n! permutations, matchings come from subsets of the edge
-list, and cuts from edge triples. Slow but obviously correct at the
-sizes the tests use them.
+list, and cuts from edge triples or vertex bipartitions. Slow but
+obviously correct at the sizes the tests use them.
 """
 
 from __future__ import annotations
@@ -179,6 +179,28 @@ def brute_3_cut_edge_sets(g: CubicGraph) -> set[frozenset[int]]:
                 out.add(frozenset(triple))
                 break
     return out
+
+
+def brute_3_edge_cuts_by_bipartition(
+    g: CubicGraph,
+) -> list[tuple[list[int], tuple[int, ...], tuple[int, ...]]]:
+    """Every 3-edge cut as (sorted edges, side_u, side_ubar), ordered by
+    sorted edges, from a scan of all 2^(n-1) vertex bipartitions."""
+    cuts = []
+    # masks with bit 0 set cover each bipartition exactly once; the
+    # all-ones mask (empty complement) is excluded by the range bound
+    for mask in range(1, (1 << g.n) - 1, 2):
+        boundary = [
+            eid
+            for eid, (u, v) in enumerate(g.edges)
+            if ((mask >> u) & 1) != ((mask >> v) & 1)
+        ]
+        if len(boundary) != 3:
+            continue
+        side_u = tuple(v for v in range(g.n) if (mask >> v) & 1)
+        side_ubar = tuple(v for v in range(g.n) if not (mask >> v) & 1)
+        cuts.append((boundary, side_u, side_ubar))
+    return sorted(cuts, key=lambda cut: cut[0])
 
 
 def brute_triangle_patterns(g: CubicGraph) -> dict[str, bool]:

@@ -9,7 +9,7 @@ import pytest
 
 from cubicscan.cli import main
 from cubicscan.formats import emit_edgelist, emit_sparse6
-from cubicscan.graphs import from_edge_list
+from cubicscan.graphs import from_edge_list, relabeled
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -97,6 +97,15 @@ def test_verify_prism_text_shows_c7_witness(tmp_path, capsys, prism):
     assert "is_petersen   no" in out
 
 
+def test_verify_30_vertex_prism_exits_zero(tmp_path, capsys, prism15):
+    path = _write(tmp_path, "prism15.s6", emit_sparse6(prism15) + b"\n")
+    code = main(["verify", "-i", path])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert re.search(r"C6\s+holds", out)
+    assert re.search(r"C7\s+holds", out)
+
+
 def test_verify_bridged_flags_c6(tmp_path, capsys, bridged8):
     path = _write(tmp_path, "b8.s6", emit_sparse6(bridged8) + b"\n")
     code, payload = _run_json(capsys, ["verify", "--input", path, "--output", "json"])
@@ -144,6 +153,19 @@ def test_scan_corpus_rejects_disconnected_graph_with_exit_2(tmp_path, capsys, pe
     captured = capsys.readouterr()
     assert code == 2
     assert "connected" in captured.err
+    assert "positive" not in captured.out
+
+
+def test_scan_corpus_rejects_isomorphic_duplicates_with_exit_2(
+    tmp_path, capsys, petersen_graph
+):
+    twin = relabeled(petersen_graph, [3, 7, 0, 9, 1, 5, 8, 2, 6, 4])
+    lines = emit_sparse6(petersen_graph) + b"\n" + emit_sparse6(twin) + b"\n"
+    path = _write(tmp_path, "twice.s6", lines)
+    code = main(["scan", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "duplicate" in captured.err
     assert "positive" not in captured.out
 
 

@@ -5,6 +5,7 @@ import pytest
 from cubicscan.connectivity import (
     bridges,
     edge_connectivity,
+    edge_cuts,
     enumerate_3_edge_cuts,
     find_adjacent_triangles,
     find_cycle_of_length,
@@ -19,6 +20,7 @@ from cubicscan.graphs import CubicGraph
 from cubicscan.enumeration import generate_cubic_graphs
 from oracles import (
     brute_3_cut_edge_sets,
+    brute_3_edge_cuts_by_bipartition,
     brute_bridges,
     brute_edge_connectivity,
     brute_triangle_patterns,
@@ -168,11 +170,38 @@ def test_3_edge_cut_counts(petersen_graph, k4):
     assert len(enumerate_3_edge_cuts(k4)) == 4
 
 
-def test_every_cut_disconnects(petersen_graph, prism, bridged8):
-    for g in (petersen_graph, prism, bridged8):
+def test_every_cut_disconnects(petersen_graph, prism, bridged8, small_graphs):
+    for g in (petersen_graph, prism, bridged8, *small_graphs):
         for cut in enumerate_3_edge_cuts(g):
             assert removal_disconnects(g, set(cut.edges))
             assert sorted(cut.side_u + cut.side_ubar) == list(range(g.n))
+
+
+def test_3_edge_cuts_match_the_bipartition_scan_in_order(small_graphs):
+    for g in small_graphs:
+        ours = [
+            (sorted(cut.edges), cut.side_u, cut.side_ubar)
+            for cut in enumerate_3_edge_cuts(g)
+        ]
+        assert ours == brute_3_edge_cuts_by_bipartition(g)
+
+
+def test_single_edge_cuts_are_the_bridges(small_graphs):
+    for g in small_graphs:
+        assert [sorted(cut.edges) for cut in edge_cuts(g, 1)] == [[b] for b in bridges(g)]
+
+
+def test_3_edge_cuts_of_the_15_prism_are_the_30_vertex_stars(prism15):
+    # a bipartition scan would visit 2^29 masks here
+    cuts = enumerate_3_edge_cuts(prism15)
+    assert len(cuts) == 30
+    assert all(cut.is_vertex_star for cut in cuts)
+
+
+def test_edge_cuts_require_connected_input(two_k4s_disconnected_edges):
+    g = CubicGraph(n=8, edges=tuple(two_k4s_disconnected_edges))
+    with pytest.raises(DisconnectedError):
+        next(edge_cuts(g, 1))
 
 
 def test_trivial_cut_predicate(petersen_graph, k4, prism):

@@ -1,5 +1,7 @@
 """Claim reports, the neighborhood check, and 10-vertex uniqueness."""
 
+from itertools import combinations
+
 import pytest
 
 from cubicscan.connectivity import girth
@@ -12,6 +14,7 @@ from cubicscan.verifier import (
     verify_neighborhood_structure,
     verify_petersen_uniqueness,
 )
+from oracles import brute_edge_connectivity, removal_disconnects
 
 
 def test_petersen_report_all_claims_hold(petersen_graph):
@@ -54,6 +57,22 @@ def test_bridged_report_flags_c6(bridged8):
     witness = report.claim_results["C6"].witness
     assert witness == {"edge_connectivity": 1, "cut": [4]}
     assert not report.claim_results["C1"].holds
+
+
+def test_c6_witness_is_the_first_disconnecting_subset(small_graphs):
+    for g in small_graphs:
+        lam = brute_edge_connectivity(g)
+        c6 = verify_claims(g).claim_results["C6"]
+        if lam == 3:
+            assert c6.holds and c6.witness is None
+            continue
+        first = next(
+            list(subset)
+            for subset in combinations(range(len(g.edges)), lam)
+            if removal_disconnects(g, set(subset))
+        )
+        assert not c6.holds
+        assert c6.witness == {"edge_connectivity": lam, "cut": first}
 
 
 def test_triple_edge_report(triple_edge):
