@@ -1,12 +1,20 @@
 """Orderly generation of connected cubic graphs and the exhaustive scan.
 
-Generation enumerates "block-wise" labeled graphs: vertices are
-completed in label order and a new vertex may only enter as the
-smallest unused label. Every lexicographically minimal labeling has
-this shape, so accepting exactly the graphs that equal their own
-canonical form (orderly generation) emits one representative per
-isomorphism class. Completeness is cross-checked against brute-force
-labeled enumeration in the test suite.
+Generation builds "block-wise" labeled graphs: vertices are completed in
+label order and a new vertex may only enter as the smallest unused
+label. Every lexicographically minimal labeling has this shape, so
+accepting exactly the graphs that equal their own canonical form
+(orderly generation) emits one representative per isomorphism class.
+
+The canonicity test is applied to prefixes as well (Read/Faradzev
+style): while the labeled graph grows, the generator carries every
+partial relabeling that ties with the identity on the completed
+vertices, and drops a subtree as soon as one of them gives a smaller
+block. Such a prefix has no canonical completion. Every finished graph
+still passes through :func:`graphs.is_canonical_labeling` before it is
+yielded, so pruning only removes work. Completeness is cross-checked
+against brute-force labeled enumeration and against the unpruned
+generator in the test suite.
 
 The scan runs the all-5-cycle premise over every generated connected
 bridgeless graph and reports the graphs that satisfy it.
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator
 
 from . import connectivity, matching
@@ -40,8 +49,8 @@ __all__ = [
     "scan_corpus",
 ]
 
-DEFAULT_SIMPLE_LIMIT = 14
-DEFAULT_MULTI_LIMIT = 10
+DEFAULT_SIMPLE_LIMIT = 16
+DEFAULT_MULTI_LIMIT = 12
 
 
 def _check_generation_bounds(n: int, allow_multi: bool, limit: int | None) -> None:
@@ -60,15 +69,65 @@ def _check_generation_bounds(n: int, allow_multi: bool, limit: int | None) -> No
 
 
 def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield edge lists of all block-wise labeled connected cubic graphs.
+    """Yield edge lists of block-wise labeled connected cubic graphs,
+    skipping every subtree whose prefix another labeling already beats.
 
     Vertex t's remaining edges go to higher labels, chosen as a
     non-decreasing multiset; an unused label may only be targeted if it
     is the smallest unused one. Connectivity is implied: every vertex
     beyond 0 is first reached from a smaller label.
+
+    Alongside the blocks, the search keeps the tied partial relabelings
+    of :func:`graphs.is_canonical_labeling`: triples (level, lab, order)
+    whose blocks 0..level-1 equal the identity's. The next block of one
+    can be computed once vertex order[level] is complete (its block is
+    chosen) and blocks[level] is known, so it waits under the key
+    max(order[level], level). When vertex t's block is chosen, t becomes
+    a new root and every relabeling waiting on t is extended through the
+    completed vertices. If one yields a block smaller than blocks[level],
+    no completion of the prefix is canonical, and the subtree is dropped.
+    Ties are filed under their next key and unfiled on backtrack.
     """
-    deg = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
     blocks: list[tuple[int, ...]] = []
+    waiting: list[list[tuple[int, list[int], list[int]]]] = [[] for _ in range(n)]
+
+    def extend_ties(t: int, filed: list[int]) -> bool:
+        """Advance the relabelings waiting on t; False once one beats the prefix."""
+        root = [-1] * n
+        root[t] = 0
+        stack = [(0, root, [t])] + waiting[t]
+        while stack:
+            level, lab, order = stack.pop()
+            nbrs = adj[order[level]]
+            ref = blocks[level]
+            base = len(order)
+            # new labels exceed every old one, so they sort after the labeled part
+            labeled = tuple(sorted(lab[w] for w in nbrs if lab[w] > level))
+            unlabeled = [w for w in nbrs if lab[w] < 0]
+            new = sorted(set(unlabeled))
+            for perm in permutations(new):
+                if len(new) == len(unlabeled):
+                    blk = labeled + tuple(range(base, base + len(new)))
+                else:  # label base + i once per parallel edge to perm[i]
+                    blk = labeled + tuple(sorted(base + perm.index(w) for w in unlabeled))
+                if blk < ref:
+                    return False
+                if blk > ref:
+                    continue
+                if base + len(perm) == level + 1:
+                    continue  # a closed component; fill's connectivity check cuts it
+                lab2 = lab.copy()
+                for i, w in enumerate(perm):
+                    lab2[w] = base + i
+                order2 = order + list(perm)
+                key = max(order2[level + 1], level + 1)
+                if key <= t:
+                    stack.append((level + 1, lab2, order2))
+                else:
+                    waiting[key].append((level + 1, lab2, order2))
+                    filed.append(key)
+        return True
 
     def fill(t: int, next_new: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if t == n:
@@ -76,28 +135,34 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
             return
         if t > 0 and t >= next_new:
             return  # vertex t untouched by smaller labels: disconnected
-        need = 3 - deg[t]
+        need = 3 - len(adj[t])
         chosen: list[int] = []
 
         def choose(minimum: int, left: int, frontier: int) -> Iterator[tuple[tuple[int, int], ...]]:
             if left == 0:
                 blocks.append(tuple(chosen))
-                yield from fill(t + 1, frontier)
+                adj[t].extend(chosen)
+                filed: list[int] = []
+                if extend_ties(t, filed):
+                    yield from fill(t + 1, frontier)
+                for key in filed:
+                    waiting[key].pop()
+                del adj[t][3 - need:]
                 blocks.pop()
                 return
             for w in range(max(minimum, t + 1), min(frontier, n - 1) + 1):
-                if w < frontier and deg[w] >= 3:
+                if w < frontier and len(adj[w]) >= 3:
                     continue
                 multiplicity = chosen.count(w)
                 if multiplicity >= (1 if not allow_multi else 3):
                     continue
                 if multiplicity == 2 and n != 2:
                     continue  # a triple edge saturates both endpoints
-                deg[w] += 1
+                adj[w].append(t)
                 chosen.append(w)
                 yield from choose(w, left - 1, frontier + 1 if w == frontier else frontier)
                 chosen.pop()
-                deg[w] -= 1
+                adj[w].pop()
 
         yield from choose(t + 1, need, next_new if t > 0 else 1)
 

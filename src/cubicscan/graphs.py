@@ -219,8 +219,10 @@ def is_canonical_labeling(g: CubicGraph) -> bool:
 
     Depth-first version of the search in :func:`_lexmin_blocks`: prune
     any branch whose block exceeds the identity's and stop outright
-    when one drops below it. Rejections abort early, which is what the
-    orderly generator needs.
+    when one drops below it. The orderly generator runs it once on each
+    finished graph as the final acceptance test; its prefix pruning has
+    already rejected every non-canonical labeling, so there the test
+    accepts, after searching every tie to the end.
     """
     # Kept separate from the BFS on purpose; both merges were measured
     # slower. canonical_form on the DFS took 2.5 s against 0.17 s on

@@ -4,14 +4,16 @@ Everything here deliberately avoids the package's clever paths: labeled
 enumeration is plain backtracking over endpoint pairs, isomorphism goes
 through all n! permutations, matchings come from subsets of the edge
 list, and cuts from edge triples or vertex bipartitions. Slow but
-obviously correct at the sizes the tests use them.
+obviously correct at the sizes the tests use them. The one exception is
+the ordered generation oracle, which filters every block-wise labeled
+graph through the package's canonicity test, with no prefix pruning.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from cubicscan.graphs import CubicGraph
+from cubicscan.graphs import CubicGraph, is_canonical_labeling
 
 
 def labeled_cubic_edge_lists(n: int, allow_multi: bool) -> set[tuple[tuple[int, int], ...]]:
@@ -75,6 +77,53 @@ def isomorphism_classes(n: int, allow_multi: bool) -> set[tuple[tuple[int, int],
         reps.add(current)
         remaining -= orbit
     return reps
+
+
+def orderly_cubic_graphs(n: int, allow_multi: bool) -> list[tuple[tuple[int, int], ...]]:
+    """Edge lists of every block-wise labeled connected cubic graph that
+    passes is_canonical_labeling, in generation order.
+
+    Vertex t's remaining edges go to higher labels as a non-decreasing
+    multiset, and an unused label may only be targeted if it is the
+    smallest unused one. Every candidate is built and tested; nothing is
+    pruned before the test.
+    """
+    deg = [0] * n
+    blocks: list[tuple[int, ...]] = []
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def fill(t: int, next_new: int) -> None:
+        if t == n:
+            edges = tuple((u, v) for u, blk in enumerate(blocks) for v in blk)
+            if is_canonical_labeling(CubicGraph(n=n, edges=edges)):
+                out.append(edges)
+            return
+        if t > 0 and t >= next_new:
+            return  # vertex t untouched by smaller labels: disconnected
+        chosen: list[int] = []
+
+        def choose(minimum: int, left: int, frontier: int) -> None:
+            if left == 0:
+                blocks.append(tuple(chosen))
+                fill(t + 1, frontier)
+                blocks.pop()
+                return
+            for w in range(max(minimum, t + 1), min(frontier, n - 1) + 1):
+                multiplicity = chosen.count(w)
+                if (w < frontier and deg[w] >= 3) or multiplicity >= (3 if allow_multi else 1):
+                    continue
+                if multiplicity == 2 and n != 2:
+                    continue  # a triple edge saturates both endpoints
+                deg[w] += 1
+                chosen.append(w)
+                choose(w, left - 1, frontier + 1 if w == frontier else frontier)
+                chosen.pop()
+                deg[w] -= 1
+
+        choose(t + 1, 3 - deg[t], next_new if t > 0 else 1)
+
+    fill(0, 0)
+    return out
 
 
 def brute_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:

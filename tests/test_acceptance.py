@@ -72,6 +72,8 @@ def test_criterion_01_main_theorem_scan_to_14(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["n_range"] == [4, 6, 8, 10, 12, 14]
+    generated = {n: stats["generated"] for n, stats in payload["per_n"].items()}
+    assert generated == {"4": 1, "6": 2, "8": 5, "10": 19, "12": 85, "14": 509}
     positives = payload["positives"]
     assert len(positives) == 1
     assert positives[0]["n"] == 10

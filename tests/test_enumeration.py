@@ -10,10 +10,12 @@ from cubicscan.enumeration import (
 )
 from cubicscan.errors import GenerationLimitError, OddVertexCountError
 from cubicscan.graphs import canonical_form, is_canonical_labeling, petersen
-from oracles import isomorphism_classes
+from oracles import isomorphism_classes, orderly_cubic_graphs
 
-SIMPLE_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
-MULTI_COUNTS = {2: 1, 4: 2, 6: 6, 8: 20, 10: 91}
+# OEIS A002851 (connected cubic simple graphs) and A000421 (connected
+# cubic loopless multigraphs)
+SIMPLE_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
+MULTI_COUNTS = {2: 1, 4: 2, 6: 6, 8: 20, 10: 91, 12: 509}
 
 
 def test_generator_matches_brute_force_classes_simple():
@@ -28,11 +30,23 @@ def test_generator_matches_brute_force_classes_multi():
         assert generated == isomorphism_classes(n, True)
 
 
+def test_prefix_pruning_yields_the_unpruned_generator_output_in_order():
+    for n in (4, 6, 8, 10, 12):
+        assert [g.edges for g in generate_cubic_graphs(n)] == orderly_cubic_graphs(n, False)
+    for n in (2, 4, 6, 8, 10):
+        generated = [g.edges for g in generate_cubic_graphs(n, allow_multi=True)]
+        assert generated == orderly_cubic_graphs(n, True)
+
+
 def test_generator_counts():
     for n, count in SIMPLE_COUNTS.items():
         assert sum(1 for _ in generate_cubic_graphs(n)) == count
     for n, count in MULTI_COUNTS.items():
         assert sum(1 for _ in generate_cubic_graphs(n, allow_multi=True)) == count
+
+
+def test_generator_reaches_the_16_vertex_count():
+    assert sum(1 for _ in generate_cubic_graphs(16)) == 4060  # A002851
 
 
 def test_generator_emits_canonical_representatives_without_duplicates():
@@ -51,11 +65,14 @@ def test_generator_bounds():
     with pytest.raises(GenerationLimitError):
         list(generate_cubic_graphs(2))  # simple graphs start at 4
     with pytest.raises(GenerationLimitError):
-        list(generate_cubic_graphs(16))
+        list(generate_cubic_graphs(18))
     with pytest.raises(GenerationLimitError):
-        list(generate_cubic_graphs(12, allow_multi=True))
+        list(generate_cubic_graphs(14, allow_multi=True))
+    with pytest.raises(GenerationLimitError):
+        list(generate_cubic_graphs(8, limit=6))
     # an explicit limit overrides the default cap
-    assert sum(1 for _ in generate_cubic_graphs(12, allow_multi=True, limit=12)) > 91
+    assert next(generate_cubic_graphs(14, allow_multi=True, limit=14)).n == 14
+    assert next(generate_cubic_graphs(18, limit=18)).n == 18
 
 
 def test_filter_bridgeless(k4, triple_edge, bridged8):
@@ -111,4 +128,6 @@ def test_scan_rejects_odd_or_oversized_bounds():
     with pytest.raises(OddVertexCountError):
         scan_theorem(9)
     with pytest.raises(GenerationLimitError):
-        scan_theorem(12, allow_multi=True)
+        scan_theorem(14, allow_multi=True)
+    with pytest.raises(GenerationLimitError):
+        scan_theorem(18)
