@@ -5,6 +5,14 @@ In a cubic graph the complement of a perfect matching is always a
 perfect matching enumeration. Matchings are sets of edge ids, which
 keeps parallel edges distinct.
 
+One depth-first search over vertex bitmasks, ``_perfect_matchings``,
+serves every caller. It cuts a branch as soon as an uncovered vertex
+next to the two just matched has no uncovered neighbor left. Only
+subtrees without a perfect matching are cut, so enumeration order,
+the premise witness and every ``exists_*`` answer are those of the
+plain search; the test suite keeps the plain search as an ordered
+oracle.
+
 Everything here is a pure function of an immutable graph; enumeration
 results are value snapshots, safe to share across threads or processes.
 """
@@ -101,31 +109,52 @@ def tutte_condition(g: CubicGraph, subset: set[int]) -> TutteCheck:
 
 
 def _perfect_matchings(g: CubicGraph) -> Iterator[PerfectMatching]:
-    """Depth-first enumeration, branching on the lowest uncovered vertex.
+    """Depth-first enumeration over vertex bitmasks, branching on the
+    lowest uncovered vertex and cutting dead ends.
 
     Branches follow ascending (neighbor, edge id) order, so the output
     order is deterministic; parallel edges are explored as distinct
-    branches.
+    branches. Matching v to w takes one option away from each other
+    neighbor of v and of w, and only from them. A branch is cut when
+    one of those neighbors is still uncovered but has no uncovered
+    neighbor left: that vertex can never be matched, so the cut subtree
+    holds no perfect matching, and the matchings that remain come out in
+    the same order as from the search without the cut.
     """
-    covered = [False] * g.n
+    full = (1 << g.n) - 1
+    bit = [1 << v for v in range(g.n)]
+    nbrs = g.neighbor_lists
+    neighbor_mask = [bit[a] | bit[b] | bit[c] for a, b, c in nbrs]
+    watch = [
+        ((bit[a], neighbor_mask[a]), (bit[b], neighbor_mask[b]), (bit[c], neighbor_mask[c]))
+        for a, b, c in nbrs
+    ]
+    # per vertex v, one (bit of w, edge id, watched) per edge vw in
+    # adjacency order; watched pairs each neighbor of v and of w with its
+    # neighbor mask, v and w included: the cut skips them as covered
+    branches = [
+        [(bit[w], eid, watch[v] + watch[w]) for w, eid in row]
+        for v, row in enumerate(g.adjacency)
+    ]
     chosen: list[int] = []
 
-    def extend(lowest: int) -> Iterator[PerfectMatching]:
-        while lowest < g.n and covered[lowest]:
-            lowest += 1
-        if lowest == g.n:
+    def extend(covered: int) -> Iterator[PerfectMatching]:
+        if covered == full:
             yield frozenset(chosen)
             return
-        covered[lowest] = True
-        for w, eid in g.adjacency[lowest]:
-            if covered[w]:
+        lowest = ~covered & (covered + 1)
+        covered |= lowest
+        for w_bit, eid, watched in branches[lowest.bit_length() - 1]:
+            if covered & w_bit:
                 continue
-            covered[w] = True
-            chosen.append(eid)
-            yield from extend(lowest + 1)
-            chosen.pop()
-            covered[w] = False
-        covered[lowest] = False
+            now = covered | w_bit
+            for u_bit, mask in watched:
+                if not u_bit & now and mask | now == now:
+                    break
+            else:
+                chosen.append(eid)
+                yield from extend(now)
+                chosen.pop()
 
     yield from extend(0)
 
@@ -139,47 +168,38 @@ def exists_perfect_matching(g: CubicGraph) -> bool:
     return next(_perfect_matchings(g), None) is not None
 
 
-def _validate_matching(g: CubicGraph, matching: PerfectMatching) -> None:
-    covered: set[int] = set()
-    for eid in matching:
-        if not 0 <= eid < len(g.edges):
-            raise MatchingError(f"edge id {eid} out of range")
-        u, v = g.edges[eid]
-        if u in covered or v in covered:
-            raise MatchingError(f"edge {eid} double-covers a vertex")
-        covered.update((u, v))
-    if len(covered) != g.n:
-        raise MatchingError("matching does not cover every vertex")
-
-
 def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> TwoFactor:
     """Decompose the complement of a perfect matching into cycles.
 
     Each cycle starts at its smallest vertex and walks toward the
     smaller (neighbor, edge id) entry first; cycles are ordered by
-    their smallest vertex.
+    their smallest vertex. Raises ``MatchingError`` unless every id is
+    an edge id and every vertex keeps exactly two non-matching entries,
+    which in a cubic graph holds exactly when the ids are a perfect
+    matching.
     """
-    _validate_matching(g, matching)
-    factor_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in matching:
-            factor_adj[u].append((v, eid))
-            factor_adj[v].append((u, eid))
+    for eid in matching:
+        if not 0 <= eid < len(g.edges):
+            raise MatchingError(f"edge id {eid} out of range")
+    # g.adjacency is sorted by (neighbor, edge id), and so is each row here
+    factor_adj = [[entry for entry in row if entry[1] not in matching] for row in g.adjacency]
+    for v, entries in enumerate(factor_adj):
+        if len(entries) != 2:
+            raise MatchingError(f"matching covers vertex {v} {3 - len(entries)} times, not once")
     cycles = []
     visited = [False] * g.n
     for start in range(g.n):
         if visited[start]:
             continue
-        entries = sorted(factor_adj[start])
         vertices = [start]
         edge_ids = []
         visited[start] = True
-        current, via = entries[0]
+        current, via = factor_adj[start][0]
         edge_ids.append(via)
         while current != start:
             visited[current] = True
             vertices.append(current)
-            first, second = sorted(factor_adj[current])
+            first, second = factor_adj[current]
             nxt, eid = second if first[1] == via else first
             edge_ids.append(eid)
             current, via = nxt, eid

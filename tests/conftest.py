@@ -13,6 +13,10 @@ The small named graphs exercised throughout the suite:
 * heawood: the 14-vertex girth-6 graph, taken from networkx
 * prism15: the 15-prism C15 x K2 (n = 30), too large for any search
   over vertex subsets
+* prisms: the k-prisms C_k x K2 for k = 3..15, keyed by k
+* no_perfect_matching10: three bridges from one vertex, each to a
+  triangle with a doubled edge (n = 10); removing that vertex leaves
+  three odd components, so it has no perfect matching
 * small_graphs: every generated connected cubic multigraph with
   n <= 10 (simple graphs included), then bridged8 and bridged10
 """
@@ -80,14 +84,30 @@ def heawood() -> CubicGraph:
     return from_edge_list(g.number_of_nodes(), list(g.edges()))
 
 
-@pytest.fixture(scope="session")
-def prism15() -> CubicGraph:
-    k = 15
+def _k_prism(k: int) -> CubicGraph:
     rungs = [(i, i + k) for i in range(k)]
     cycles = [(i, (i + 1) % k) for i in range(k)] + [
         (i + k, (i + 1) % k + k) for i in range(k)
     ]
     return from_edge_list(2 * k, rungs + cycles)
+
+
+@pytest.fixture(scope="session")
+def prism15() -> CubicGraph:
+    return _k_prism(15)
+
+
+@pytest.fixture(scope="session")
+def prisms() -> dict[int, CubicGraph]:
+    return {k: _k_prism(k) for k in range(3, 16)}
+
+
+@pytest.fixture(scope="session")
+def no_perfect_matching10() -> CubicGraph:
+    edges = []
+    for a in (1, 4, 7):
+        edges += [(0, a), (a, a + 1), (a, a + 2), (a + 1, a + 2), (a + 1, a + 2)]
+    return CubicGraph(n=10, edges=tuple(edges))
 
 
 @pytest.fixture(scope="session")

@@ -4,14 +4,17 @@ Everything here deliberately avoids the package's clever paths: labeled
 enumeration is plain backtracking over endpoint pairs, isomorphism goes
 through all n! permutations, matchings come from subsets of the edge
 list, and cuts from edge triples or vertex bipartitions. Slow but
-obviously correct at the sizes the tests use them. The one exception is
-the ordered generation oracle, which filters every block-wise labeled
-graph through the package's canonicity test, with no prefix pruning.
+obviously correct at the sizes the tests use them. Two ordered oracles
+pin the order of a pruned search, not just its output set: the
+generation oracle filters every block-wise labeled graph through the
+package's canonicity test, with no prefix pruning, and the matching
+oracle is the plain depth-first search, with no dead-end cut.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Iterator
 
 from cubicscan.graphs import CubicGraph, is_canonical_labeling
 
@@ -155,6 +158,36 @@ def brute_perfect_matchings(g: CubicGraph) -> set[frozenset[int]]:
         if ok and len(covered) == g.n:
             out.add(frozenset(subset))
     return out
+
+
+def unpruned_perfect_matchings(g: CubicGraph) -> Iterator[frozenset[int]]:
+    """Depth-first enumeration, branching on the lowest uncovered vertex.
+
+    Branches follow ascending (neighbor, edge id) order, so the output
+    order is deterministic; parallel edges are explored as distinct
+    branches.
+    """
+    covered = [False] * g.n
+    chosen: list[int] = []
+
+    def extend(lowest: int) -> Iterator[frozenset[int]]:
+        while lowest < g.n and covered[lowest]:
+            lowest += 1
+        if lowest == g.n:
+            yield frozenset(chosen)
+            return
+        covered[lowest] = True
+        for w, eid in g.adjacency[lowest]:
+            if covered[w]:
+                continue
+            covered[w] = True
+            chosen.append(eid)
+            yield from extend(lowest + 1)
+            chosen.pop()
+            covered[w] = False
+        covered[lowest] = False
+
+    yield from extend(0)
 
 
 def removal_disconnects(g: CubicGraph, removed: set[int]) -> bool:

@@ -1,11 +1,13 @@
 """Perfect matchings, 2-factors, spectra, and the matching predicates."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 from cubicscan.enumeration import filter_bridgeless, generate_cubic_graphs
 from cubicscan.errors import MatchingError, MultigraphError
+from cubicscan.graphs import from_edge_list
 from cubicscan.matching import (
     all_two_factors_are_five_cycles,
     complementary_two_factor,
@@ -19,7 +21,7 @@ from cubicscan.matching import (
     exists_two_factor_through_edges,
     tutte_condition,
 )
-from oracles import brute_perfect_matchings
+from oracles import brute_perfect_matchings, unpruned_perfect_matchings
 
 
 def test_pm_counts(k4, petersen_graph, triple_edge, k33):
@@ -37,6 +39,38 @@ def test_pm_enumeration_matches_subset_brute_force(petersen_graph, prism, bridge
             assert set(enumerate_perfect_matchings(g)) == brute_perfect_matchings(g)
     for g in generate_cubic_graphs(10):
         assert len(enumerate_perfect_matchings(g)) == len(brute_perfect_matchings(g))
+
+
+def _pairing_multigraph(rng: random.Random, n: int):
+    """A loopless cubic multigraph from the pairing model; it may be
+    disconnected or have no perfect matching."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = list(zip(points[0::2], points[1::2]))
+        if all(u != v for u, v in edges):
+            return from_edge_list(n, edges)
+
+
+def test_pruned_search_yields_the_unpruned_order(
+    small_graphs, petersen_graph, triple_edge, prism15, no_perfect_matching10
+):
+    rng = random.Random(12)
+    random_graphs = [_pairing_multigraph(rng, n) for n in range(12, 21, 2) for _ in range(8)]
+    graphs = [*small_graphs, petersen_graph, triple_edge, prism15, no_perfect_matching10]
+    for g in graphs + random_graphs:
+        assert list(enumerate_perfect_matchings(g)) == list(unpruned_perfect_matchings(g))
+    assert enumerate_perfect_matchings(no_perfect_matching10) == ()
+
+
+def test_prism_matching_counts_follow_the_lucas_numbers(prisms):
+    # C_k x K2 has L_k perfect matchings for odd k and L_k + 2 for even k
+    lucas = [2, 1]
+    while len(lucas) <= 15:
+        lucas.append(lucas[-1] + lucas[-2])
+    for k, g in prisms.items():
+        assert len(enumerate_perfect_matchings(g)) == lucas[k] + (2 if k % 2 == 0 else 0)
+    assert len(enumerate_perfect_matchings(prisms[15])) == 1364
 
 
 def test_pm_enumeration_no_duplicates_and_valid():
@@ -136,11 +170,36 @@ def test_complementary_two_factor_walk_is_pinned(prism, bridged8, triple_edge):
     assert walk(triple_edge, frozenset({1})) == [((0, 1), (0, 2))]
 
 
-def test_complementary_two_factor_rejects_non_matching(k4):
+def test_complementary_two_factor_rejects_non_matching(k4, petersen_graph, triple_edge):
     with pytest.raises(MatchingError):
         complementary_two_factor(k4, frozenset({0, 1}))
     with pytest.raises(MatchingError):
         complementary_two_factor(k4, frozenset({0, 99}))
+    for ids in (frozenset(), frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({-1})):
+        with pytest.raises(MatchingError):
+            complementary_two_factor(triple_edge, ids)
+    for g in (k4, petersen_graph):
+        m = enumerate_perfect_matchings(g)[0]
+        last = max(m)
+        extra = min(set(range(len(g.edges))) - m)
+        shares = next(
+            eid
+            for eid in range(len(g.edges))
+            if eid != last and set(g.edges[eid]) & set(g.edges[last])
+        )
+        # the empty set, one edge short, one edge too many, a vertex
+        # covered twice, an id out of range in place of a matching edge
+        bad = [
+            frozenset(),
+            m - {last},
+            m | {extra},
+            m - {last} | {shares},
+            m - {last} | {99},
+            m - {last} | {-1},
+        ]
+        for ids in bad:
+            with pytest.raises(MatchingError):
+                complementary_two_factor(g, ids)
 
 
 def test_premise_predicate(petersen_graph, k4, k33):

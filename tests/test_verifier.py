@@ -110,13 +110,8 @@ def test_premise_witness_is_the_first_failing_matching(prism, bridged8, triple_e
     assert verify_claims(triple_edge).premise_witness == {"matching": [0], "spectrum": [2]}
 
 
-def test_premise_witness_without_a_perfect_matching():
-    # three bridges from vertex 0, each to a triangle with one doubled edge:
-    # removing vertex 0 leaves three odd components
-    edges = []
-    for a in (1, 4, 7):
-        edges += [(0, a), (a, a + 1), (a, a + 2), (a + 1, a + 2), (a + 1, a + 2)]
-    report = verify_claims(CubicGraph(n=10, edges=tuple(edges)))
+def test_premise_witness_without_a_perfect_matching(no_perfect_matching10):
+    report = verify_claims(no_perfect_matching10)
     assert not report.premise_holds
     assert report.premise_witness == {"reason": "no perfect matching"}
 
