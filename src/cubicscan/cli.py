@@ -78,7 +78,8 @@ def cmd_analyze(args: argparse.Namespace, out: TextIO | None = None) -> int:
             {"spectrum": list(lengths), "count": count}
             for lengths, count in sorted(spectra.items())
         ],
-        "all_two_factors_are_five_cycles": matching.all_two_factors_are_five_cycles(g),
+        "all_two_factors_are_five_cycles": bool(matchings)
+        and all(length == 5 for spectrum in spectra for length in spectrum),
     }
     if args.output == "json":
         _emit_json(payload, out)

@@ -11,10 +11,10 @@ style): while the labeled graph grows, the generator carries every
 partial relabeling that ties with the identity on the completed
 vertices, and drops a subtree as soon as one of them gives a smaller
 block. Such a prefix has no canonical completion. Every finished graph
-still passes through :func:`graphs.is_canonical_labeling` before it is
-yielded, so pruning only removes work. Completeness is cross-checked
-against brute-force labeled enumeration and against the unpruned
-generator in the test suite.
+still has its edge list compared with its canonical form's certificate
+(:func:`graphs.is_canonical_labeling`) before it is yielded, so pruning
+only removes work. Completeness is cross-checked against brute-force
+labeled enumeration and the unpruned generator in the test suite.
 
 The scan runs the all-5-cycle premise over every generated connected
 bridgeless graph and reports the graphs that satisfy it.
@@ -35,7 +35,7 @@ from .errors import (
     OddVertexCountError,
 )
 from .formats import emit_sparse6
-from .graphs import CubicGraph, canonical_form, is_canonical_labeling, petersen
+from .graphs import CubicGraph, canonical_form, is_canonical_labeling, is_isomorphic, petersen
 
 __all__ = [
     "DEFAULT_SIMPLE_LIMIT",
@@ -78,10 +78,10 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
     beyond 0 is first reached from a smaller label.
 
     Alongside the blocks, the search keeps the tied partial relabelings
-    of :func:`graphs.is_canonical_labeling`: triples (level, lab, order)
-    whose blocks 0..level-1 equal the identity's. The next block of one
-    can be computed once vertex order[level] is complete (its block is
-    chosen) and blocks[level] is known, so it waits under the key
+    of the canonical-form search: triples (level, lab, order) whose
+    blocks 0..level-1 equal the identity's. The next block of one can be
+    computed once vertex order[level] is complete (its block is chosen)
+    and blocks[level] is known, so it waits under the key
     max(order[level], level). When vertex t's block is chosen, t becomes
     a new root and every relabeling waiting on t is extended through the
     completed vertices. If one yields a block smaller than blocks[level],
@@ -246,7 +246,6 @@ class ScanReport:
 def _scan_one_n(graphs: list[CubicGraph], n: int) -> NScanStats:
     started = time.perf_counter()
     bridgeless = list(filter_bridgeless(graphs))
-    petersen_cert = canonical_form(petersen()).certificate
     positives = []
     for g in bridgeless:
         if not matching.all_two_factors_are_five_cycles(g):
@@ -257,7 +256,7 @@ def _scan_one_n(graphs: list[CubicGraph], n: int) -> NScanStats:
                 n=n,
                 certificate=cert.decode("ascii"),
                 sparse6=emit_sparse6(g).decode("ascii"),
-                is_petersen=cert == petersen_cert,
+                is_petersen=is_isomorphic(g, petersen()),
             )
         )
     positives.sort(key=lambda p: p.certificate)

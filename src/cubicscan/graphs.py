@@ -14,7 +14,8 @@ lexicographically minimal labeling has this shape (new labels appear in
 first-use order in the sorted edge list), so searching block-wise
 labelings only is exhaustive. Certificates are equal exactly for
 isomorphic graphs; this is cross-checked against a brute-force
-permutation oracle in the test suite.
+permutation oracle in the test suite. The same search answers whether a
+labeling is canonical: its sorted edge list must equal the certificate's.
 """
 
 from __future__ import annotations
@@ -95,9 +96,8 @@ class CubicGraph:
         labeling = [0] * self.n
         for new, old in enumerate(order):
             labeling[old] = new
-        seq = [(t, w) for t, blk in enumerate(blocks) for w in blk]
-        cert = f"{self.n}|" + ",".join(f"{u}-{v}" for u, v in seq)
-        return CanonicalForm(labeling=tuple(labeling), certificate=cert.encode("ascii"))
+        edges = [(t, w) for t, blk in enumerate(blocks) for w in blk]
+        return CanonicalForm(labeling=tuple(labeling), certificate=_certificate(self.n, edges))
 
     def other_endpoint(self, eid: int, vertex: int) -> int:
         u, v = self.edges[eid]
@@ -159,6 +159,17 @@ def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
     return g._canonical.certificate == h._canonical.certificate
 
 
+def is_canonical_labeling(g: CubicGraph) -> bool:
+    """True iff g's own labeling is the canonical one: its sorted edge
+    list is the certificate's. The canonical form stays cached on g."""
+    return g._canonical.certificate == _certificate(g.n, sorted(g.edges))
+
+
+def _certificate(n: int, edges: Iterable[tuple[int, int]]) -> bytes:
+    """The vertex count, then the sorted edge list as ``u-v`` pairs."""
+    return (f"{n}|" + ",".join(f"{u}-{v}" for u, v in edges)).encode("ascii")
+
+
 def _lexmin_blocks(
     n: int, adj: Sequence[Sequence[int]]
 ) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -173,6 +184,12 @@ def _lexmin_blocks(
     frontier: list[tuple[list[int], list[int]]] = [([-1] * n, [])]
     blocks: list[tuple[int, ...]] = []
     for t in range(n):
+        if t == len(frontier[0][1]):
+            # A new component opens. Every tie has closed components with
+            # the same blocks, so the unlabeled rests are isomorphic and
+            # give the same remaining blocks. The first tie keeps the
+            # labeling; the rest would multiply the work per component.
+            frontier = frontier[:1]
         best_blk: tuple[int, ...] | None = None
         children: list[tuple[list[int], list[int]]] = []
         for lab, order in frontier:
@@ -204,72 +221,3 @@ def _lexmin_blocks(
         blocks.append(best_blk)
         frontier = children
     return blocks, frontier[0][1]
-
-
-def _upward_blocks(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Blocks of the identity labeling: blocks[u] lists v over edges (u, v), u < v."""
-    blocks: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        blocks[u].append(v)
-    return [tuple(sorted(b)) for b in blocks]
-
-
-def is_canonical_labeling(g: CubicGraph) -> bool:
-    """True iff g's own labeling is already the canonical one.
-
-    Depth-first version of the search in :func:`_lexmin_blocks`: prune
-    any branch whose block exceeds the identity's and stop outright
-    when one drops below it. The orderly generator runs it once on each
-    finished graph as the final acceptance test; its prefix pruning has
-    already rejected every non-canonical labeling, so there the test
-    accepts, after searching every tie to the end.
-    """
-    # Kept separate from the BFS on purpose; both merges were measured
-    # slower. canonical_form on the DFS took 2.5 s against 0.17 s on
-    # random cubic graphs at n = 60 (64 s against 0.15 s at n = 120): it
-    # dives into dominated branches before its bound is tight. This test
-    # on the BFS took 4.1-4.8 s against 1.0-1.5 s over the 9,609
-    # block-wise labeled candidates at n = 12.
-    n = g.n
-    adj = g.neighbor_lists
-    ref = _upward_blocks(n, g.edges)
-    lab = [-1] * n
-    order: list[int] = []
-    smaller_found = False
-
-    def step(t: int) -> None:
-        nonlocal smaller_found
-        if t == n:
-            return
-        if t == len(order):
-            for root in range(n):
-                if lab[root] >= 0:
-                    continue
-                lab[root] = t
-                order.append(root)
-                step(t)
-                order.pop()
-                lab[root] = -1
-                if smaller_found:
-                    return
-            return
-        x = order[t]
-        unlabeled = sorted({w for w in adj[x] if lab[w] < 0})
-        base = len(order)
-        for perm in permutations(unlabeled):
-            for i, w in enumerate(perm):
-                lab[w] = base + i
-                order.append(w)
-            blk = tuple(sorted(lab[w] for w in adj[x] if lab[w] > t))
-            if blk < ref[t]:
-                smaller_found = True
-            elif blk == ref[t]:
-                step(t + 1)
-            for w in perm:
-                lab[w] = -1
-            del order[base:]
-            if smaller_found:
-                return
-
-    step(0)
-    return not smaller_found

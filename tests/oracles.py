@@ -4,19 +4,21 @@ Everything here deliberately avoids the package's clever paths: labeled
 enumeration is plain backtracking over endpoint pairs, isomorphism goes
 through all n! permutations, matchings come from subsets of the edge
 list, and cuts from edge triples or vertex bipartitions. Slow but
-obviously correct at the sizes the tests use them. Two ordered oracles
-pin the order of a pruned search, not just its output set: the
-generation oracle filters every block-wise labeled graph through the
-package's canonicity test, with no prefix pruning, and the matching
-oracle is the plain depth-first search, with no dead-end cut.
+obviously correct at the sizes the tests use them. The canonicity
+oracle is a depth-first lexmin search, independent of the package's
+breadth-first one. Two ordered oracles pin the order of a pruned search,
+not just its output set: the generation oracle filters every block-wise
+labeled graph through the canonicity oracle, with no prefix pruning, and
+the matching oracle is the plain depth-first search, with no dead-end
+cut.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from cubicscan.graphs import CubicGraph, is_canonical_labeling
+from cubicscan.graphs import CubicGraph
 
 
 def labeled_cubic_edge_lists(n: int, allow_multi: bool) -> set[tuple[tuple[int, int], ...]]:
@@ -82,9 +84,71 @@ def isomorphism_classes(n: int, allow_multi: bool) -> set[tuple[tuple[int, int],
     return reps
 
 
+def _upward_blocks(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Blocks of the identity labeling: blocks[u] lists v over edges (u, v), u < v."""
+    blocks: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        blocks[u].append(v)
+    return [tuple(sorted(b)) for b in blocks]
+
+
+def dfs_is_canonical_labeling(g: CubicGraph) -> bool:
+    """True iff g's own labeling is already the canonical one.
+
+    Depth-first lexmin search over block-wise labelings, independent of
+    the breadth-first search in ``cubicscan.graphs``: prune any branch
+    whose block exceeds the identity's and stop outright when one drops
+    below it. It rejects most unpruned candidates early, which keeps
+    :func:`orderly_cubic_graphs` fast.
+    """
+    n = g.n
+    adj = g.neighbor_lists
+    ref = _upward_blocks(n, g.edges)
+    lab = [-1] * n
+    order: list[int] = []
+    smaller_found = False
+
+    def step(t: int) -> None:
+        nonlocal smaller_found
+        if t == n:
+            return
+        if t == len(order):
+            for root in range(n):
+                if lab[root] >= 0:
+                    continue
+                lab[root] = t
+                order.append(root)
+                step(t)
+                order.pop()
+                lab[root] = -1
+                if smaller_found:
+                    return
+            return
+        x = order[t]
+        unlabeled = sorted({w for w in adj[x] if lab[w] < 0})
+        base = len(order)
+        for perm in permutations(unlabeled):
+            for i, w in enumerate(perm):
+                lab[w] = base + i
+                order.append(w)
+            blk = tuple(sorted(lab[w] for w in adj[x] if lab[w] > t))
+            if blk < ref[t]:
+                smaller_found = True
+            elif blk == ref[t]:
+                step(t + 1)
+            for w in perm:
+                lab[w] = -1
+            del order[base:]
+            if smaller_found:
+                return
+
+    step(0)
+    return not smaller_found
+
+
 def orderly_cubic_graphs(n: int, allow_multi: bool) -> list[tuple[tuple[int, int], ...]]:
     """Edge lists of every block-wise labeled connected cubic graph that
-    passes is_canonical_labeling, in generation order.
+    passes dfs_is_canonical_labeling, in generation order.
 
     Vertex t's remaining edges go to higher labels as a non-decreasing
     multiset, and an unused label may only be targeted if it is the
@@ -98,7 +162,7 @@ def orderly_cubic_graphs(n: int, allow_multi: bool) -> list[tuple[tuple[int, int
     def fill(t: int, next_new: int) -> None:
         if t == n:
             edges = tuple((u, v) for u, blk in enumerate(blocks) for v in blk)
-            if is_canonical_labeling(CubicGraph(n=n, edges=edges)):
+            if dfs_is_canonical_labeling(CubicGraph(n=n, edges=edges)):
                 out.append(edges)
             return
         if t > 0 and t >= next_new:

@@ -24,7 +24,6 @@ from cubicscan.graphs import (
     CubicGraph,
     canonical_form,
     from_edge_list,
-    is_canonical_labeling,
     is_isomorphic,
     petersen,
 )
@@ -46,6 +45,7 @@ from oracles import (
     brute_3_cut_edge_sets,
     brute_edge_connectivity,
     brute_perfect_matchings,
+    dfs_is_canonical_labeling,
     isomorphism_classes,
 )
 
@@ -164,7 +164,7 @@ def test_criterion_03_petersen_uniqueness_among_19(capsys, simple_graphs):
     naive = {
         edges
         for edges in _rooted_labeled_simple_cubic(10)
-        if is_canonical_labeling(CubicGraph(n=10, edges=edges))
+        if dfs_is_canonical_labeling(CubicGraph(n=10, edges=edges))
     }
     assert naive == {g.edges for g in generated}
     girth_five = [g for g in generated if girth(g) == 5]

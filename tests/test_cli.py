@@ -71,6 +71,19 @@ def test_analyze_text_and_json_carry_the_same_facts(tmp_path, capsys, prism):
         assert f"{{{cycles}}} x{entry['count']}" in text
 
 
+def test_analyze_without_a_perfect_matching_fails_the_premise(
+    tmp_path, capsys, no_perfect_matching10
+):
+    path = _write(tmp_path, "npm.txt", emit_edgelist(no_perfect_matching10))
+    code, payload = _run_json(
+        capsys, ["analyze", "--input", path, "--format", "edgelist", "--output", "json"]
+    )
+    assert code == 0
+    assert payload["perfect_matching_count"] == 0
+    assert payload["two_factor_spectra"] == []
+    assert payload["all_two_factors_are_five_cycles"] is False
+
+
 def test_analyze_rejects_non_cubic_with_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "bad.txt", "4 2\n0 1\n2 3\n")
     code = main(["analyze", "--input", path, "--format", "edgelist"])

@@ -14,7 +14,7 @@ from cubicscan.graphs import (
     petersen,
     relabeled,
 )
-from oracles import brute_isomorphic, isomorphism_classes
+from oracles import brute_isomorphic, dfs_is_canonical_labeling, isomorphism_classes
 
 ALL_K4_PAIRS = list(combinations(range(4), 2))
 
@@ -185,7 +185,7 @@ def test_is_canonical_labeling_agrees_with_canonical_form():
                     )
                 )
                 expected = canonical_edges == tuple(sorted(h.edges))
-                assert is_canonical_labeling(h) == expected
+                assert is_canonical_labeling(h) == dfs_is_canonical_labeling(h) == expected
 
 
 def test_disconnected_graphs_canonicalize(two_k4s_disconnected_edges, k4):
@@ -204,3 +204,11 @@ def test_disconnected_graphs_canonicalize(two_k4s_disconnected_edges, k4):
     cube = from_edge_list(8, cube_edges)
     assert not is_isomorphic(double_k4, cube)
     assert not is_isomorphic(double_k4, k4)
+    double_petersen = from_edge_list(
+        20, petersen().edges + tuple((u + 10, v + 10) for u, v in petersen().edges)
+    )
+    perm = list(range(20))
+    rng.shuffle(perm)
+    assert is_isomorphic(double_petersen, relabeled(double_petersen, perm))
+    form = canonical_form(double_petersen)
+    assert is_canonical_labeling(relabeled(double_petersen, form.labeling))
