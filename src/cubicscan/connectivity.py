@@ -2,11 +2,14 @@
 
 All functions are pure and operate on immutable graphs. Detectors
 return the lexicographically smallest witness so that reports and
-golden tests are stable.
+golden tests are stable. Connectivity, bridges, edge connectivity and
+edge cuts all read one labeling: each edge's set of fundamental cycles
+as a bitmask, under which an edge set is a cut iff its labels XOR to 0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -49,114 +52,82 @@ class CutSet:
         return len(self.side_u) == 1 or len(self.side_ubar) == 1
 
 
-def is_connected(g: CubicGraph) -> bool:
-    return max(_components(g, ())) == 0
+def _cycle_labels(g: CubicGraph) -> tuple[int, list[int]]:
+    """Component count and, per edge id, the set of fundamental cycles
+    through that edge as a bitmask.
 
+    A BFS spanning forest is built; the i-th non-tree edge gets bit
+    ``1 << i`` (its own fundamental cycle), and the tree edge into v
+    gets the XOR of the non-tree bits at the vertices of v's subtree,
+    accumulated in reverse BFS order: a fundamental cycle passes
+    through that tree edge iff exactly one end of its non-tree edge
+    lies in the subtree.
 
-def _components(g: CubicGraph, removed: tuple[int, ...]) -> list[int]:
-    """Component index of each vertex of G minus the ``removed`` edge ids,
-    numbered in order of each component's smallest vertex."""
-    comp = [-1] * g.n
+    An edge set is an edge cut (the edges between some vertex set and
+    its complement) iff it meets every cycle an even number of times.
+    The fundamental cycles span the cycle space, so a set is a cut iff
+    the XOR of its labels is 0 (after Pritchard and Thurimella, "Fast
+    computation of small cuts via cycle space sampling", ACM TALG 2011,
+    with one bit per fundamental cycle instead of a random sample, so
+    the test is exact). In particular the bridges are the edges with
+    label 0, and two edges form a cut iff their labels are equal.
+    """
+    via = [-1] * g.n  # tree edge into each vertex, -1 at a root
+    seen = [False] * g.n
+    order: list[int] = []
     count = 0
-    for start in range(g.n):
-        if comp[start] >= 0:
+    for root in range(g.n):
+        if seen[root]:
             continue
-        comp[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w, eid in g.adjacency[u]:
-                if comp[w] < 0 and eid not in removed:
-                    comp[w] = count
-                    stack.append(w)
         count += 1
-    return comp
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w, eid in g.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    via[w] = eid
+                    queue.append(w)
+    tree = set(via)
+    labels = [0] * len(g.edges)
+    acc = [0] * g.n  # XOR of the non-tree bits in each vertex's subtree
+    bit = 1
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in tree:
+            labels[eid] = bit
+            acc[u] ^= bit
+            acc[v] ^= bit
+            bit <<= 1
+    for v in reversed(order):
+        if via[v] >= 0:
+            labels[via[v]] = acc[v]
+            acc[g.other_endpoint(via[v], v)] ^= acc[v]
+    return count, labels
+
+
+def is_connected(g: CubicGraph) -> bool:
+    return _cycle_labels(g)[0] == 1
 
 
 def bridges(g: CubicGraph) -> list[int]:
     """Edge ids whose removal increases the component count, ascending."""
-    # DFS low-link; an edge is a bridge iff no back edge (other than
-    # itself) spans it, which makes parallel copies non-bridges.
-    preorder = [-1] * g.n
-    low = [0] * g.n
-    found: list[int] = []
-    counter = 0
-
-    def visit(root: int) -> None:
-        nonlocal counter
-        stack: list[tuple[int, int | None, int]] = [(root, None, 0)]
-        preorder[root] = low[root] = counter
-        counter += 1
-        while stack:
-            u, via, idx = stack.pop()
-            entries = g.adjacency[u]
-            if idx < len(entries):
-                stack.append((u, via, idx + 1))
-                w, eid = entries[idx]
-                if eid == via:
-                    continue
-                if preorder[w] < 0:
-                    preorder[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, eid, 0))
-                else:
-                    low[u] = min(low[u], preorder[w])
-            else:
-                if via is not None:
-                    parent = g.other_endpoint(via, u)
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] == preorder[u]:
-                        found.append(via)
-
-    for v in range(g.n):
-        if preorder[v] < 0:
-            visit(v)
-    return sorted(found)
+    return [eid for eid, label in enumerate(_cycle_labels(g)[1]) if label == 0]
 
 
 def edge_connectivity(g: CubicGraph) -> int:
     """Size of a minimum edge cut; in {1, 2, 3} for connected cubic graphs.
 
-    Computed as the minimum over targets t of the maximum number of
-    edge-disjoint 0-t paths (unit-capacity max-flow).
+    1 if some edge is a bridge, 2 if two edges share a label (see
+    ``_cycle_labels``), else 3, which every vertex star reaches.
     """
-    if not is_connected(g):
+    count, labels = _cycle_labels(g)
+    if count != 1:
         raise DisconnectedError("edge connectivity requires a connected graph")
-    best = 3  # min degree bounds any cut
-    for t in range(1, g.n):
-        best = min(best, _max_edge_disjoint_paths(g, 0, t, stop_at=best))
-        if best == 1:
-            break
-    return best
-
-
-def _max_edge_disjoint_paths(g: CubicGraph, s: int, t: int, stop_at: int = 3) -> int:
-    # residual capacity per (edge id, direction); an undirected edge is a
-    # pair of opposite unit arcs, flow cancellation handles reuse
-    cap: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        cap[(eid, u)] = 1  # arc u -> v
-        cap[(eid, v)] = 1  # arc v -> u
-    flow = 0
-    while flow < stop_at:
-        parent: dict[int, tuple[int, int]] = {s: (-1, s)}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for w, eid in g.adjacency[u]:
-                if w not in parent and cap[(eid, u)] > 0:
-                    parent[w] = (eid, u)
-                    queue.append(w)
-        if t not in parent:
-            break
-        node = t
-        while node != s:
-            eid, prev = parent[node]
-            cap[(eid, prev)] -= 1
-            cap[(eid, node)] += 1
-            node = prev
-        flow += 1
-    return flow
+    if 0 in labels:
+        return 1
+    return 2 if len(set(labels)) < len(labels) else 3
 
 
 def girth(g: CubicGraph) -> int:
@@ -260,39 +231,44 @@ def find_cycle_of_length(g: CubicGraph, k: int) -> tuple[int, ...] | None:
 
 
 def edge_cuts(g: CubicGraph, k: int) -> Iterator[CutSet]:
-    """Every edge cut of size exactly k, each with its two sides, ordered
-    by sorted cut edge ids.
+    """Every edge cut of size exactly k >= 1, each with its two sides,
+    ordered by sorted cut edge ids.
 
-    A k-subset of edges is a cut iff the components of G minus the
-    subset can be 2-coloured so that every subset edge crosses. G is
-    connected, so the subset edges join those components into a
-    connected graph, which has at most one such colouring with vertex
-    0 on ``side_u``: each subset bounds at most one bipartition, and
-    every bipartition is found once, from its own boundary. Sides need
-    not be connected, which matters below k-edge-connectivity.
-    Costs O(m^k * (n + m)).
+    A k-subset is a cut iff its labels XOR to 0 (see ``_cycle_labels``).
+    The (k-1)-subsets are walked in ``combinations`` order, and each is
+    completed by every higher edge id whose label cancels the subset's
+    XOR, looked up by label. The sides come from one search from vertex
+    0 that switches side on each cut edge; a cut meets every cycle
+    evenly, so every path gives a vertex the same side. Sides need not
+    be connected, which matters below k-edge-connectivity.
     """
-    if not is_connected(g):
+    count, labels = _cycle_labels(g)
+    if count != 1:
         raise DisconnectedError("cut enumeration requires a connected graph")
-    for subset in combinations(range(len(g.edges)), k):
-        comp = _components(g, subset)
-        arcs = [(comp[g.edges[eid][0]], comp[g.edges[eid][1]]) for eid in subset]
-        side = {0: True}
-        # at most k components wait for a colour, and each pass colours
-        # at least one of them
-        for _ in subset:
-            for a, b in arcs:
-                if a in side:
-                    side.setdefault(b, not side[a])
-                if b in side:
-                    side.setdefault(a, not side[b])
-        if any(side[a] == side[b] for a, b in arcs):
-            continue  # some subset edge lies inside one side
-        yield CutSet(
-            edges=frozenset(subset),
-            side_u=tuple(v for v in range(g.n) if side[comp[v]]),
-            side_ubar=tuple(v for v in range(g.n) if not side[comp[v]]),
-        )
+    by_label: dict[int, list[int]] = {}
+    for eid, label in enumerate(labels):
+        by_label.setdefault(label, []).append(eid)
+    for prefix in combinations(range(len(labels)), k - 1):
+        rest = 0
+        for eid in prefix:
+            rest ^= labels[eid]
+        last = by_label.get(rest, ())
+        for eid in last[bisect_right(last, prefix[-1]) if prefix else 0 :]:
+            cut = (*prefix, eid)
+            side = [-1] * g.n
+            side[0] = 1
+            stack = [0]
+            while stack:
+                u = stack.pop()
+                for w, e in g.adjacency[u]:
+                    if side[w] < 0:
+                        side[w] = side[u] ^ (e in cut)
+                        stack.append(w)
+            yield CutSet(
+                edges=frozenset(cut),
+                side_u=tuple(v for v in range(g.n) if side[v]),
+                side_ubar=tuple(v for v in range(g.n) if not side[v]),
+            )
 
 
 def enumerate_3_edge_cuts(g: CubicGraph) -> list[CutSet]:

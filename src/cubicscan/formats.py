@@ -40,6 +40,8 @@ def _decode_size(data: bytes) -> tuple[int, bytes]:
     """Read the vertex-count field N(n), return (n, remaining bytes)."""
     if not data:
         raise FormatError("empty graph encoding")
+    if not 63 <= data[0] <= 126:
+        raise FormatError(f"size byte {data[0]} is outside 63..126")
     if data[0] != 126:
         return data[0] - 63, data[1:]
     if len(data) >= 4 and data[1] != 126:

@@ -98,6 +98,11 @@ def prism15() -> CubicGraph:
 
 
 @pytest.fixture(scope="session")
+def prism50() -> CubicGraph:
+    return _k_prism(50)
+
+
+@pytest.fixture(scope="session")
 def prisms() -> dict[int, CubicGraph]:
     return {k: _k_prism(k) for k in range(3, 16)}
 

@@ -327,10 +327,10 @@ def brute_3_cut_edge_sets(g: CubicGraph) -> set[frozenset[int]]:
     return out
 
 
-def brute_3_edge_cuts_by_bipartition(
-    g: CubicGraph,
+def brute_edge_cuts_by_bipartition(
+    g: CubicGraph, k: int
 ) -> list[tuple[list[int], tuple[int, ...], tuple[int, ...]]]:
-    """Every 3-edge cut as (sorted edges, side_u, side_ubar), ordered by
+    """Every k-edge cut as (sorted edges, side_u, side_ubar), ordered by
     sorted edges, from a scan of all 2^(n-1) vertex bipartitions."""
     cuts = []
     # masks with bit 0 set cover each bipartition exactly once; the
@@ -341,7 +341,7 @@ def brute_3_edge_cuts_by_bipartition(
             for eid, (u, v) in enumerate(g.edges)
             if ((mask >> u) & 1) != ((mask >> v) & 1)
         ]
-        if len(boundary) != 3:
+        if len(boundary) != k:
             continue
         side_u = tuple(v for v in range(g.n) if (mask >> v) & 1)
         side_ubar = tuple(v for v in range(g.n) if not (mask >> v) & 1)

@@ -239,6 +239,15 @@ def test_stdin_input(capsys, monkeypatch, petersen_graph):
     assert "perfect matchings   6" in out
 
 
+def test_size_byte_below_63_exits_two(capsys, monkeypatch):
+    import io
+
+    for line in ("0\n", ":0\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        assert main(["analyze"]) == 2
+        assert "size byte 48" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(capsys):
     code = main(["analyze", "--input", "/nonexistent/path.g6"])
     assert code == 2

@@ -20,7 +20,7 @@ from cubicscan.graphs import CubicGraph
 from cubicscan.enumeration import generate_cubic_graphs
 from oracles import (
     brute_3_cut_edge_sets,
-    brute_3_edge_cuts_by_bipartition,
+    brute_edge_cuts_by_bipartition,
     brute_bridges,
     brute_edge_connectivity,
     brute_triangle_patterns,
@@ -177,13 +177,14 @@ def test_every_cut_disconnects(petersen_graph, prism, bridged8, small_graphs):
             assert sorted(cut.side_u + cut.side_ubar) == list(range(g.n))
 
 
-def test_3_edge_cuts_match_the_bipartition_scan_in_order(small_graphs):
+def test_edge_cuts_match_the_bipartition_scan_in_order(small_graphs):
+    # k = 1 and 2 give C6's witness below 3-edge-connectivity, k = 3 gives C7
     for g in small_graphs:
-        ours = [
-            (sorted(cut.edges), cut.side_u, cut.side_ubar)
-            for cut in enumerate_3_edge_cuts(g)
-        ]
-        assert ours == brute_3_edge_cuts_by_bipartition(g)
+        for k in (1, 2, 3):
+            ours = [
+                (sorted(cut.edges), cut.side_u, cut.side_ubar) for cut in edge_cuts(g, k)
+            ]
+            assert ours == brute_edge_cuts_by_bipartition(g, k), k
 
 
 def test_single_edge_cuts_are_the_bridges(small_graphs):
@@ -196,6 +197,23 @@ def test_3_edge_cuts_of_the_15_prism_are_the_30_vertex_stars(prism15):
     cuts = enumerate_3_edge_cuts(prism15)
     assert len(cuts) == 30
     assert all(cut.is_vertex_star for cut in cuts)
+
+
+def test_3_edge_cuts_of_the_100_vertex_prism_are_the_vertex_stars(prism50):
+    # a component search per edge triple would visit 551,300 subsets here
+    cuts = enumerate_3_edge_cuts(prism50)
+    assert len(cuts) == 100
+    assert all(cut.is_vertex_star for cut in cuts)
+    assert edge_connectivity(prism50) == 3
+    assert bridges(prism50) == []
+
+
+def test_bridges_of_a_disconnected_graph(bridged8, k4):
+    g = CubicGraph(
+        n=12, edges=bridged8.edges + tuple((u + 8, v + 8) for u, v in k4.edges)
+    )
+    assert not is_connected(g)
+    assert bridges(g) == bridges(bridged8) == [4]
 
 
 def test_edge_cuts_require_connected_input(two_k4s_disconnected_edges):

@@ -92,6 +92,14 @@ def test_sparse6_rejects_loops():
         parse_sparse6(data)
 
 
+def test_size_bytes_below_63_are_rejected():
+    # '0' is byte 48; read as a size it would give n = -15
+    with pytest.raises(FormatError, match="size byte 48"):
+        parse_graph6(b"0")
+    with pytest.raises(FormatError, match="size byte 48"):
+        parse_sparse6(b":0")
+
+
 def test_graph6_k4():
     g = parse_graph6(b"C~")
     assert g.n == 4 and len(g.edges) == 6
