@@ -62,10 +62,7 @@ def cmd_analyze(args: argparse.Namespace, out: TextIO | None = None) -> int:
     out = out or sys.stdout
     g = _load_single_graph(args)
     matchings = matching.enumerate_perfect_matchings(g)
-    spectra = Counter(
-        matching.cycle_spectrum(matching.complementary_two_factor(g, m))
-        for m in matchings
-    )
+    spectra = Counter(matching.two_factor_spectra(g, matchings))
     payload = {
         "report": "analyze",
         "n": g.n,

@@ -240,11 +240,18 @@ def edge_cuts(g: CubicGraph, k: int) -> Iterator[CutSet]:
     XOR, looked up by label. The sides come from one search from vertex
     0 that switches side on each cut edge; a cut meets every cycle
     evenly, so every path gives a vertex the same side. Sides need not
-    be connected, which matters below k-edge-connectivity.
+    be connected, which matters below k-edge-connectivity. A bad k or a
+    disconnected graph raises at the call, before the first cut.
     """
+    if k < 1:
+        raise ValueError(f"cut size k must be at least 1, got k={k}")
     count, labels = _cycle_labels(g)
     if count != 1:
         raise DisconnectedError("cut enumeration requires a connected graph")
+    return _labeled_cuts(g, labels, k)
+
+
+def _labeled_cuts(g: CubicGraph, labels: list[int], k: int) -> Iterator[CutSet]:
     by_label: dict[int, list[int]] = {}
     for eid, label in enumerate(labels):
         by_label.setdefault(label, []).append(eid)

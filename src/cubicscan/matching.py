@@ -13,6 +13,20 @@ the premise witness and every ``exists_*`` answer are those of the
 plain search; the test suite keeps the plain search as an ordered
 oracle.
 
+Every premise answer reads only cycle lengths: the paper's premise is
+that each complementary 2-factor splits into 5-cycles, which is a
+statement about the spectrum alone. ``two_factor_spectra`` and the
+premise functions therefore walk the 2-factor without building cycle
+objects. Per graph they store, for each edge id, the XOR of its two
+endpoints and, for each vertex, the sum of its three edge ids. Per
+matching they record each vertex's matched edge id; entering a vertex
+by edge ``e``, the walk leaves it by ``total[v] - e - matched[v]``, the
+one edge that is neither, and reaches ``v ^ ends_xor[e']``. Edge ids
+keep parallel edges apart, so a doubled edge still closes a 2-cycle.
+``complementary_two_factor`` and ``cycle_spectrum`` remain for callers
+that need the cycles themselves, and the test suite checks that both
+give the same spectrum for every matching.
+
 Everything here is a pure function of an immutable graph; enumeration
 results are value snapshots, safe to share across threads or processes.
 """
@@ -20,7 +34,7 @@ results are value snapshots, safe to share across threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MatchingError, MultigraphError
 from .graphs import CubicGraph
@@ -36,6 +50,7 @@ __all__ = [
     "enumerate_perfect_matchings",
     "complementary_two_factor",
     "cycle_spectrum",
+    "two_factor_spectra",
     "five_cycle_premise_witness",
     "all_two_factors_are_five_cycles",
     "exists_pm_with_edge",
@@ -168,24 +183,46 @@ def exists_perfect_matching(g: CubicGraph) -> bool:
     return next(_perfect_matchings(g), None) is not None
 
 
+def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
+    """Each vertex's matched edge id.
+
+    Raises ``MatchingError`` unless the ids are a perfect matching,
+    naming the first id out of range or else the first vertex not
+    covered exactly once.
+    """
+    edges = g.edges
+    matched = [-1] * g.n
+    size = 0
+    for eid in matching:
+        if not 0 <= eid < len(edges):
+            raise MatchingError(f"edge id {eid} out of range")
+        u, v = edges[eid]
+        matched[u] = matched[v] = eid
+        size += 1
+    # n/2 ids that leave no vertex uncovered cover every vertex once
+    if 2 * size != g.n or -1 in matched:
+        covers = [0] * g.n
+        for eid in matching:
+            for v in edges[eid]:
+                covers[v] += 1
+        v = next(v for v, count in enumerate(covers) if count != 1)
+        raise MatchingError(f"matching covers vertex {v} {covers[v]} times, not once")
+    return matched
+
+
 def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> TwoFactor:
     """Decompose the complement of a perfect matching into cycles.
 
     Each cycle starts at its smallest vertex and walks toward the
     smaller (neighbor, edge id) entry first; cycles are ordered by
-    their smallest vertex. Raises ``MatchingError`` unless every id is
-    an edge id and every vertex keeps exactly two non-matching entries,
-    which in a cubic graph holds exactly when the ids are a perfect
-    matching.
+    their smallest vertex. Raises ``MatchingError`` unless the ids are
+    a perfect matching.
     """
-    for eid in matching:
-        if not 0 <= eid < len(g.edges):
-            raise MatchingError(f"edge id {eid} out of range")
+    matched = _matched_edge_ids(g, matching)
     # g.adjacency is sorted by (neighbor, edge id), and so is each row here
-    factor_adj = [[entry for entry in row if entry[1] not in matching] for row in g.adjacency]
-    for v, entries in enumerate(factor_adj):
-        if len(entries) != 2:
-            raise MatchingError(f"matching covers vertex {v} {3 - len(entries)} times, not once")
+    factor_adj = [
+        [entry for entry in row if entry[1] != matched[v]] for v, row in enumerate(g.adjacency)
+    ]
     cycles = []
     visited = [False] * g.n
     for start in range(g.n):
@@ -212,6 +249,52 @@ def cycle_spectrum(factor: TwoFactor) -> CycleSpectrum:
     return tuple(sorted(len(cycle) for cycle in factor.cycles))
 
 
+def _spectrum_walk(g: CubicGraph) -> Callable[[Iterable[int]], CycleSpectrum]:
+    """The per-graph setup of the length-only 2-factor walk.
+
+    The returned function maps a perfect matching to the sorted cycle
+    lengths of its complementary 2-factor. It raises ``MatchingError``
+    as ``complementary_two_factor`` does, before the walk starts, so the
+    walk only ever follows a 2-factor and always closes its cycles.
+    """
+    ends_xor = [u ^ v for u, v in g.edges]
+    ids = [(a, b, c) for (_, a), (_, b), (_, c) in g.adjacency]
+    total = [a + b + c for a, b, c in ids]
+
+    def spectrum(matching: Iterable[int]) -> CycleSpectrum:
+        # a vertex's entry becomes -1 once the walk has passed it
+        matched = _matched_edge_ids(g, matching)
+        lengths = []
+        for start, (a, b, _) in enumerate(ids):
+            if matched[start] < 0:
+                continue
+            eid = b if matched[start] == a else a
+            matched[start] = -1
+            current = start ^ ends_xor[eid]
+            length = 1
+            while current != start:
+                eid = total[current] - eid - matched[current]
+                matched[current] = -1
+                current ^= ends_xor[eid]
+                length += 1
+            lengths.append(length)
+        return tuple(sorted(lengths))
+
+    return spectrum
+
+
+def two_factor_spectra(
+    g: CubicGraph, matchings: Iterable[PerfectMatching]
+) -> tuple[CycleSpectrum, ...]:
+    """``cycle_spectrum(complementary_two_factor(g, m))`` for each matching,
+    in order, without building the cycles.
+
+    Raises ``MatchingError``, as ``complementary_two_factor`` does, for
+    ids that are not a perfect matching.
+    """
+    return tuple(map(_spectrum_walk(g), matchings))
+
+
 def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
     """None iff g has a perfect matching and every complementary 2-factor
     splits into 5-cycles only; otherwise a JSON-ready witness.
@@ -223,11 +306,12 @@ def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
     cycle of another length.
     """
     found = False
+    spectrum = _spectrum_walk(g)
     for matching in _perfect_matchings(g):
         found = True
-        spectrum = cycle_spectrum(complementary_two_factor(g, matching))
-        if any(length != 5 for length in spectrum):
-            return {"matching": sorted(matching), "spectrum": list(spectrum)}
+        lengths = spectrum(matching)
+        if any(length != 5 for length in lengths):
+            return {"matching": sorted(matching), "spectrum": list(lengths)}
     return None if found else {"reason": "no perfect matching"}
 
 
@@ -266,7 +350,5 @@ def exists_triangle_free_two_factor(g: CubicGraph) -> bool:
     """Some 2-factor has minimum cycle length >= 4; simple graphs only."""
     if g.has_parallel_edges:
         raise MultigraphError("triangle-free 2-factor check is defined for simple graphs")
-    return any(
-        cycle_spectrum(complementary_two_factor(g, m))[0] >= 4
-        for m in _perfect_matchings(g)
-    )
+    spectrum = _spectrum_walk(g)
+    return any(spectrum(m)[0] >= 4 for m in _perfect_matchings(g))

@@ -10,7 +10,8 @@ breadth-first one. Two ordered oracles pin the order of a pruned search,
 not just its output set: the generation oracle filters every block-wise
 labeled graph through the canonicity oracle, with no prefix pruning, and
 the matching oracle is the plain depth-first search, with no dead-end
-cut.
+cut. The premise oracles read every spectrum off the cycles that
+``complementary_two_factor`` builds, not off the length-only walk.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 from cubicscan.graphs import CubicGraph
+from cubicscan.matching import complementary_two_factor, cycle_spectrum
 
 
 def labeled_cubic_edge_lists(n: int, allow_multi: bool) -> set[tuple[tuple[int, int], ...]]:
@@ -252,6 +254,26 @@ def unpruned_perfect_matchings(g: CubicGraph) -> Iterator[frozenset[int]]:
         covered[lowest] = False
 
     yield from extend(0)
+
+
+def premise_witness_by_two_factors(g: CubicGraph) -> dict | None:
+    """``five_cycle_premise_witness`` as a loop over the cycle objects of
+    each matching's 2-factor, in the unpruned search's order."""
+    found = False
+    for matching in unpruned_perfect_matchings(g):
+        found = True
+        spectrum = cycle_spectrum(complementary_two_factor(g, matching))
+        if any(length != 5 for length in spectrum):
+            return {"matching": sorted(matching), "spectrum": list(spectrum)}
+    return None if found else {"reason": "no perfect matching"}
+
+
+def triangle_free_two_factor_by_two_factors(g: CubicGraph) -> bool:
+    """Some matching's 2-factor, as cycle objects, has no cycle shorter than 4."""
+    return any(
+        min(len(cycle) for cycle in complementary_two_factor(g, m).cycles) >= 4
+        for m in unpruned_perfect_matchings(g)
+    )
 
 
 def removal_disconnects(g: CubicGraph, removed: set[int]) -> bool:

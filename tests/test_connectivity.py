@@ -222,6 +222,12 @@ def test_edge_cuts_require_connected_input(two_k4s_disconnected_edges):
         next(edge_cuts(g, 1))
 
 
+def test_edge_cuts_reject_k_below_one(k4):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            edge_cuts(k4, k)
+
+
 def test_trivial_cut_predicate(petersen_graph, k4, prism):
     assert has_only_trivial_3_edge_cuts(petersen_graph)
     assert has_only_trivial_3_edge_cuts(k4)

@@ -19,9 +19,16 @@ from cubicscan.matching import (
     exists_pm_with_edge_pair,
     exists_triangle_free_two_factor,
     exists_two_factor_through_edges,
+    five_cycle_premise_witness,
     tutte_condition,
+    two_factor_spectra,
 )
-from oracles import brute_perfect_matchings, unpruned_perfect_matchings
+from oracles import (
+    brute_perfect_matchings,
+    premise_witness_by_two_factors,
+    triangle_free_two_factor_by_two_factors,
+    unpruned_perfect_matchings,
+)
 
 
 def test_pm_counts(k4, petersen_graph, triple_edge, k33):
@@ -52,13 +59,17 @@ def _pairing_multigraph(rng: random.Random, n: int):
             return from_edge_list(n, edges)
 
 
+def _random_multigraphs() -> list:
+    """40 seeded pairing-model multigraphs, eight each for n = 12..20."""
+    rng = random.Random(12)
+    return [_pairing_multigraph(rng, n) for n in range(12, 21, 2) for _ in range(8)]
+
+
 def test_pruned_search_yields_the_unpruned_order(
     small_graphs, petersen_graph, triple_edge, prism15, no_perfect_matching10
 ):
-    rng = random.Random(12)
-    random_graphs = [_pairing_multigraph(rng, n) for n in range(12, 21, 2) for _ in range(8)]
     graphs = [*small_graphs, petersen_graph, triple_edge, prism15, no_perfect_matching10]
-    for g in graphs + random_graphs:
+    for g in graphs + _random_multigraphs():
         assert list(enumerate_perfect_matchings(g)) == list(unpruned_perfect_matchings(g))
     assert enumerate_perfect_matchings(no_perfect_matching10) == ()
 
@@ -170,14 +181,12 @@ def test_complementary_two_factor_walk_is_pinned(prism, bridged8, triple_edge):
     assert walk(triple_edge, frozenset({1})) == [((0, 1), (0, 2))]
 
 
-def test_complementary_two_factor_rejects_non_matching(k4, petersen_graph, triple_edge):
-    with pytest.raises(MatchingError):
-        complementary_two_factor(k4, frozenset({0, 1}))
-    with pytest.raises(MatchingError):
-        complementary_two_factor(k4, frozenset({0, 99}))
+def _non_matchings(k4, petersen_graph, triple_edge):
+    """(graph, ids) pairs in which the ids are not a perfect matching."""
+    yield k4, frozenset({0, 1})
+    yield k4, frozenset({0, 99})
     for ids in (frozenset(), frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({-1})):
-        with pytest.raises(MatchingError):
-            complementary_two_factor(triple_edge, ids)
+        yield triple_edge, ids
     for g in (k4, petersen_graph):
         m = enumerate_perfect_matchings(g)[0]
         last = max(m)
@@ -189,17 +198,61 @@ def test_complementary_two_factor_rejects_non_matching(k4, petersen_graph, tripl
         )
         # the empty set, one edge short, one edge too many, a vertex
         # covered twice, an id out of range in place of a matching edge
-        bad = [
+        for ids in (
             frozenset(),
             m - {last},
             m | {extra},
             m - {last} | {shares},
             m - {last} | {99},
             m - {last} | {-1},
-        ]
-        for ids in bad:
-            with pytest.raises(MatchingError):
-                complementary_two_factor(g, ids)
+        ):
+            yield g, ids
+
+
+def test_complementary_two_factor_rejects_non_matching(k4, petersen_graph, triple_edge):
+    for g, ids in _non_matchings(k4, petersen_graph, triple_edge):
+        with pytest.raises(MatchingError):
+            complementary_two_factor(g, ids)
+
+
+def test_two_factor_spectra_reject_non_matching_as_the_cycle_walk_does(
+    k4, petersen_graph, triple_edge
+):
+    for g, ids in _non_matchings(k4, petersen_graph, triple_edge):
+        with pytest.raises(MatchingError) as expected:
+            complementary_two_factor(g, ids)
+        # after a good matching, so the walk's state has been used once
+        good = enumerate_perfect_matchings(g)[0]
+        with pytest.raises(MatchingError) as raised:
+            two_factor_spectra(g, [good, ids])
+        assert str(raised.value) == str(expected.value)
+
+
+def test_two_factor_spectra_equal_the_cycle_walk_in_order(
+    small_graphs, petersen_graph, prisms, triple_edge
+):
+    graphs = [*small_graphs, petersen_graph, *prisms.values(), triple_edge]
+    for g in graphs + _random_multigraphs():
+        matchings = enumerate_perfect_matchings(g)
+        assert two_factor_spectra(g, matchings) == tuple(
+            cycle_spectrum(complementary_two_factor(g, m)) for m in matchings
+        )
+    assert two_factor_spectra(triple_edge, enumerate_perfect_matchings(triple_edge)) == (
+        (2,),
+        (2,),
+        (2,),
+    )
+
+
+def test_premise_answers_equal_the_two_factor_oracles(
+    small_graphs, petersen_graph, prisms, triple_edge, no_perfect_matching10
+):
+    graphs = [*small_graphs, petersen_graph, *prisms.values(), triple_edge]
+    for g in graphs + [no_perfect_matching10] + _random_multigraphs():
+        assert five_cycle_premise_witness(g) == premise_witness_by_two_factors(g)
+        if not g.has_parallel_edges:
+            assert exists_triangle_free_two_factor(g) == triangle_free_two_factor_by_two_factors(g)
+    assert five_cycle_premise_witness(no_perfect_matching10) == {"reason": "no perfect matching"}
 
 
 def test_premise_predicate(petersen_graph, k4, k33):
