@@ -3,18 +3,22 @@
 Generation builds "block-wise" labeled graphs: vertices are completed in
 label order and a new vertex may only enter as the smallest unused
 label. Every lexicographically minimal labeling has this shape, so
-accepting exactly the graphs that equal their own canonical form
-(orderly generation) emits one representative per isomorphism class.
+emitting exactly the graphs that equal their own canonical form
+(orderly generation) gives one representative per isomorphism class.
 
-The canonicity test is applied to prefixes as well (Read/Faradzev
-style): while the labeled graph grows, the generator carries every
-partial relabeling that ties with the identity on the completed
-vertices, and drops a subtree as soon as one of them gives a smaller
-block. Such a prefix has no canonical completion. Every finished graph
-still has its edge list compared with its canonical form's certificate
-(:func:`graphs.is_canonical_labeling`) before it is yielded, so pruning
-only removes work. Completeness is cross-checked against brute-force
-labeled enumeration and the unpruned generator in the test suite.
+Canonicity is decided on prefixes (Read/Faradzev style): while the
+labeled graph grows, the generator carries every partial relabeling that
+ties with the identity on the completed vertices, and drops a subtree as
+soon as one of them gives a smaller block. Relabelings that the prefix
+cannot yet tell apart travel together as one ordered partition of their
+labels into cells (partition backtracking, after McKay, "Practical graph
+isomorphism", 1981, restricted to the refinement the block order
+allows). When the last vertex is complete these relabelings have run the
+whole lexmin search of the canonical form, so every finished graph is
+canonical and is yielded as it is. The test suite checks the output
+against the canonical form, a depth-first canonicity oracle, brute-force
+labeled enumeration and a tie frontier kept one relabeling per
+permutation.
 
 The scan runs the all-5-cycle premise over every generated connected
 bridgeless graph and reports the graphs that satisfy it.
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator
 
 from . import connectivity, matching
@@ -35,7 +38,8 @@ from .errors import (
     OddVertexCountError,
 )
 from .formats import emit_sparse6
-from .graphs import CubicGraph, canonical_form, is_canonical_labeling, is_isomorphic, petersen
+from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
+from .graphs import is_canonical_labeling  # unused here: perfbench/tracing.py wraps it by this name
 
 __all__ = [
     "DEFAULT_SIMPLE_LIMIT",
@@ -69,63 +73,128 @@ def _check_generation_bounds(n: int, allow_multi: bool, limit: int | None) -> No
 
 
 def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield edge lists of block-wise labeled connected cubic graphs,
-    skipping every subtree whose prefix another labeling already beats.
+    """Yield the edge lists of the canonical block-wise labeled connected
+    cubic graphs, in ascending order.
 
     Vertex t's remaining edges go to higher labels, chosen as a
     non-decreasing multiset; an unused label may only be targeted if it
     is the smallest unused one. Connectivity is implied: every vertex
     beyond 0 is first reached from a smaller label.
 
-    Alongside the blocks, the search keeps the tied partial relabelings
-    of the canonical-form search: triples (level, lab, order) whose
-    blocks 0..level-1 equal the identity's. The next block of one can be
-    computed once vertex order[level] is complete (its block is chosen)
-    and blocks[level] is known, so it waits under the key
-    max(order[level], level). When vertex t's block is chosen, t becomes
-    a new root and every relabeling waiting on t is extended through the
-    completed vertices. If one yields a block smaller than blocks[level],
-    no completion of the prefix is canonical, and the subtree is dropped.
-    Ties are filed under their next key and unfiled on backtrack.
+    Alongside the blocks, the search keeps the partial relabelings of
+    the canonical-form search whose blocks 0..level-1 equal the
+    identity's, grouped into records (level, x, start, order). ``order``
+    lists the labeled vertices by label, and ``start[v]`` is the first
+    label of v's cell: a label range whose members the blocks so far
+    cannot tell apart, so every assignment of a cell's labels to its
+    members ties. Vertex x takes label ``level`` (individualization) and
+    the rest of its cell moves up to level + 1; when a level starts
+    inside a cell of k members, k records are filed, one per member.
+
+    The block of x can be computed once x is complete (its block is
+    chosen) and blocks[level] is known, so a record waits under the key
+    max(x, level). Its minimal block gives, inside each cell that x
+    touches, the lower labels to the members with more edges to x, and
+    orders x's unlabeled neighbours, which open new cells after the last
+    label, the same way. Refinement splits each touched cell and the new
+    neighbours by that multiplicity, so the relabelings that reach the
+    minimal block are exactly the permutations inside the new cells. If
+    the minimal block is smaller than blocks[level], no completion of the
+    prefix is canonical and the subtree is dropped; if it is larger, the
+    record is dropped. When vertex t's block is chosen, t becomes a new
+    root and every record waiting on t is extended through the completed
+    vertices. Records are filed under their next key and unfiled on
+    backtrack.
+
+    No finished graph needs another canonicity test. Every record waits
+    on a key of at most n - 1, so once vertex n - 1's block is chosen a
+    relabeling has been started from every root and every tie has been
+    extended through all n blocks: that is the whole lexmin search of the
+    canonical form, and none of it beat the identity. The only ties not
+    carried that far close a component before n vertices; their prefix
+    belongs to a disconnected graph, which fill's connectivity cut
+    removes.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     blocks: list[tuple[int, ...]] = []
-    waiting: list[list[tuple[int, list[int], list[int]]]] = [[] for _ in range(n)]
+    waiting: list[list[tuple[int, int, list[int], list[int]]]] = [[] for _ in range(n)]
+
+    # ranked[x]: (neighbour, multiplicity) pairs of a complete vertex, highest multiplicity first
+    ranked: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+
+    def cell_end(start: list[int], order: list[int], s: int) -> int:
+        end = s + 1
+        while end < len(order) and start[order[end]] == s:
+            end += 1
+        return end
+
+    def split(start: list[int], order: list[int], s: int, hits: list[tuple[int, int]]) -> None:
+        """Reorder the cell that starts at label s: the hit vertices first, in
+        their order, then the rest; each run of equal multiplicity becomes a cell."""
+        end = cell_end(start, order, s)
+        if end - s == len(hits) and hits[0][1] == hits[-1][1]:
+            return
+        hit = [w for w, _ in hits]
+        rest = [(w, 0) for w in order[s:end] if w not in hit]
+        first = prev = -1
+        for pos, (w, m) in enumerate(hits + rest, s):
+            if m != prev:
+                first, prev = pos, m
+            order[pos] = w
+            start[w] = first
 
     def extend_ties(t: int, filed: list[int]) -> bool:
         """Advance the relabelings waiting on t; False once one beats the prefix."""
         root = [-1] * n
         root[t] = 0
-        stack = [(0, root, [t])] + waiting[t]
+        stack = [(0, t, root, [t])] + waiting[t]
         while stack:
-            level, lab, order = stack.pop()
-            nbrs = adj[order[level]]
-            ref = blocks[level]
+            level, x, start, order = stack.pop()
             base = len(order)
-            # new labels exceed every old one, so they sort after the labeled part
-            labeled = tuple(sorted(lab[w] for w in nbrs if lab[w] > level))
-            unlabeled = [w for w in nbrs if lab[w] < 0]
-            new = sorted(set(unlabeled))
-            for perm in permutations(new):
-                if len(new) == len(unlabeled):
-                    blk = labeled + tuple(range(base, base + len(new)))
-                else:  # label base + i once per parallel edge to perm[i]
-                    blk = labeled + tuple(sorted(base + perm.index(w) for w in unlabeled))
-                if blk < ref:
-                    return False
-                if blk > ref:
-                    continue
-                if base + len(perm) == level + 1:
-                    continue  # a closed component; fill's connectivity check cuts it
-                lab2 = lab.copy()
-                for i, w in enumerate(perm):
-                    lab2[w] = base + i
-                order2 = order + list(perm)
-                key = max(order2[level + 1], level + 1)
+            # the minimal block: in each cell the higher multiplicities take
+            # the lower labels, and so do they among the unlabeled neighbours
+            labels: list[int] = []
+            touched: dict[int, list[tuple[int, int]]] = {}
+            fresh: list[tuple[int, int]] = []
+            for pair in ranked[x]:
+                w, m = pair
+                s = start[w]
+                if s >= level:
+                    if s == level:
+                        s += 1  # the rest of x's own cell
+                    hits = touched.setdefault(s, [])
+                    labels += [s + len(hits)] * m
+                    hits.append(pair)
+                elif s < 0:
+                    labels += [base + len(fresh)] * m
+                    fresh.append(pair)
+            blk = tuple(sorted(labels))
+            ref = blocks[level]
+            if blk < ref:
+                return False
+            if blk > ref:
+                continue
+            if base + len(fresh) == level + 1:
+                continue  # a closed component; fill's connectivity check cuts it
+            start = start.copy()
+            order = order + [w for w, _ in fresh]
+            for w, _ in fresh:
+                start[w] = base
+            # x leads its own cell, then the cells it touches and its new
+            # neighbours split by multiplicity; singletons need no split
+            if level + 1 < base and start[order[level + 1]] == level:
+                split(start, order, level, [(x, 1)])
+            for s, hits in touched.items():
+                split(start, order, s, hits)
+            if len(fresh) > 1:
+                split(start, order, base, fresh)
+            level += 1
+            for w in order[level:cell_end(start, order, level)]:
+                key = max(w, level)
                 if key <= t:
-                    stack.append((level + 1, lab2, order2))
+                    stack.append((level, w, start, order))
                 else:
-                    waiting[key].append((level + 1, lab2, order2))
+                    waiting[key].append((level, w, start, order))
                     filed.append(key)
         return True
 
@@ -142,6 +211,8 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
             if left == 0:
                 blocks.append(tuple(chosen))
                 adj[t].extend(chosen)
+                mult = {w: adj[t].count(w) for w in adj[t]}
+                ranked[t] = sorted(mult.items(), key=lambda pair: -pair[1])
                 filed: list[int] = []
                 if extend_ties(t, filed):
                     yield from fill(t + 1, frontier)
@@ -176,9 +247,7 @@ def generate_cubic_graphs(
     isomorphism class, in ascending canonical edge-list order."""
     _check_generation_bounds(n, allow_multi, limit)
     for edges in _blockwise_labeled_graphs(n, allow_multi):
-        g = CubicGraph(n=n, edges=edges)
-        if is_canonical_labeling(g):
-            yield g
+        yield CubicGraph(n=n, edges=edges)
 
 
 def filter_bridgeless(stream: Iterable[CubicGraph]) -> Iterator[CubicGraph]:

@@ -6,11 +6,13 @@ through all n! permutations, matchings come from subsets of the edge
 list, and cuts from edge triples or vertex bipartitions. Slow but
 obviously correct at the sizes the tests use them. The canonicity
 oracle is a depth-first lexmin search, independent of the package's
-breadth-first one. Two ordered oracles pin the order of a pruned search,
-not just its output set: the generation oracle filters every block-wise
-labeled graph through the canonicity oracle, with no prefix pruning, and
-the matching oracle is the plain depth-first search, with no dead-end
-cut. The premise oracles read every spectrum off the cycles that
+breadth-first one. Ordered oracles pin the order of a pruned search,
+not just its output set: one generation oracle filters every block-wise
+labeled graph through the canonicity oracle, with no prefix pruning; a
+second prunes prefixes with a tie frontier that keeps one relabeling per
+permutation of new neighbours instead of cells; and the matching oracle
+is the plain depth-first search, with no dead-end cut. The premise
+oracles read every spectrum off the cycles that
 ``complementary_two_factor`` builds, not off the length-only walk.
 """
 
@@ -190,6 +192,93 @@ def orderly_cubic_graphs(n: int, allow_multi: bool) -> list[tuple[tuple[int, int
                 deg[w] -= 1
 
         choose(t + 1, 3 - deg[t], next_new if t > 0 else 1)
+
+    fill(0, 0)
+    return out
+
+
+def permutation_tie_cubic_graphs(n: int, allow_multi: bool) -> list[tuple[tuple[int, int], ...]]:
+    """Edge lists of the prefix-pruned generation, in generation order,
+    with every tied relabeling carried on its own.
+
+    The same block-wise tree as :func:`orderly_cubic_graphs`. Each
+    relabeling (level, lab, order) whose blocks 0..level-1 equal the
+    identity's waits under max(order[level], level) until it can compute
+    its next block; every permutation of the unlabeled neighbours that
+    ties becomes its own relabeling, and a prefix is dropped as soon as
+    one gives a smaller block. No leaf is tested afterwards.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    blocks: list[tuple[int, ...]] = []
+    waiting: list[list[tuple[int, list[int], list[int]]]] = [[] for _ in range(n)]
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def extend_ties(t: int, filed: list[int]) -> bool:
+        root = [-1] * n
+        root[t] = 0
+        stack = [(0, root, [t])] + waiting[t]
+        while stack:
+            level, lab, order = stack.pop()
+            nbrs = adj[order[level]]
+            ref = blocks[level]
+            base = len(order)
+            labeled = tuple(sorted(lab[w] for w in nbrs if lab[w] > level))
+            unlabeled = [w for w in nbrs if lab[w] < 0]
+            new = sorted(set(unlabeled))
+            for perm in permutations(new):
+                blk = labeled + tuple(sorted(base + perm.index(w) for w in unlabeled))
+                if blk < ref:
+                    return False
+                if blk > ref:
+                    continue
+                if base + len(perm) == level + 1:
+                    continue  # a closed component: its graph is disconnected
+                lab2 = lab.copy()
+                for i, w in enumerate(perm):
+                    lab2[w] = base + i
+                order2 = order + list(perm)
+                key = max(order2[level + 1], level + 1)
+                if key <= t:
+                    stack.append((level + 1, lab2, order2))
+                else:
+                    waiting[key].append((level + 1, lab2, order2))
+                    filed.append(key)
+        return True
+
+    def fill(t: int, next_new: int) -> None:
+        if t == n:
+            out.append(tuple((u, v) for u, blk in enumerate(blocks) for v in blk))
+            return
+        if t > 0 and t >= next_new:
+            return  # vertex t untouched by smaller labels: disconnected
+        need = 3 - len(adj[t])
+        chosen: list[int] = []
+
+        def choose(minimum: int, left: int, frontier: int) -> None:
+            if left == 0:
+                blocks.append(tuple(chosen))
+                adj[t].extend(chosen)
+                filed: list[int] = []
+                if extend_ties(t, filed):
+                    fill(t + 1, frontier)
+                for key in filed:
+                    waiting[key].pop()
+                del adj[t][3 - need:]
+                blocks.pop()
+                return
+            for w in range(max(minimum, t + 1), min(frontier, n - 1) + 1):
+                multiplicity = chosen.count(w)
+                if (w < frontier and len(adj[w]) >= 3) or multiplicity >= (3 if allow_multi else 1):
+                    continue
+                if multiplicity == 2 and n != 2:
+                    continue  # a triple edge saturates both endpoints
+                adj[w].append(t)
+                chosen.append(w)
+                choose(w, left - 1, frontier + 1 if w == frontier else frontier)
+                chosen.pop()
+                adj[w].pop()
+
+        choose(t + 1, need, next_new if t > 0 else 1)
 
     fill(0, 0)
     return out

@@ -10,7 +10,12 @@ from cubicscan.enumeration import (
 )
 from cubicscan.errors import GenerationLimitError, OddVertexCountError
 from cubicscan.graphs import canonical_form, is_canonical_labeling, petersen
-from oracles import isomorphism_classes, orderly_cubic_graphs
+from oracles import (
+    dfs_is_canonical_labeling,
+    isomorphism_classes,
+    orderly_cubic_graphs,
+    permutation_tie_cubic_graphs,
+)
 
 # OEIS A002851 (connected cubic simple graphs) and A000421 (connected
 # cubic loopless multigraphs)
@@ -36,6 +41,24 @@ def test_prefix_pruning_yields_the_unpruned_generator_output_in_order():
     for n in (2, 4, 6, 8, 10):
         generated = [g.edges for g in generate_cubic_graphs(n, allow_multi=True)]
         assert generated == orderly_cubic_graphs(n, True)
+
+
+def test_cell_ties_yield_the_per_permutation_frontier_output_in_order():
+    for n in (4, 6, 8, 10, 12, 14):
+        assert [g.edges for g in generate_cubic_graphs(n)] == permutation_tie_cubic_graphs(n, False)
+    for n in (2, 4, 6, 8, 10, 12):
+        generated = [g.edges for g in generate_cubic_graphs(n, allow_multi=True)]
+        assert generated == permutation_tie_cubic_graphs(n, True)
+
+
+def test_every_generated_graph_is_its_own_canonical_form():
+    # the generator yields its leaves untested, so every leaf must pass both searches
+    for allow_multi, n_max in ((False, 14), (True, 10)):
+        for n in range(2 if allow_multi else 4, n_max + 1, 2):
+            for g in generate_cubic_graphs(n, allow_multi=allow_multi):
+                assert is_canonical_labeling(g)
+                if n <= 10:
+                    assert dfs_is_canonical_labeling(g)
 
 
 def test_generator_counts():
