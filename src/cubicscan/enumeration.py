@@ -10,15 +10,13 @@ Canonicity is decided on prefixes (Read/Faradzev style): while the
 labeled graph grows, the generator carries every partial relabeling that
 ties with the identity on the completed vertices, and drops a subtree as
 soon as one of them gives a smaller block. Relabelings that the prefix
-cannot yet tell apart travel together as one ordered partition of their
-labels into cells (partition backtracking, after McKay, "Practical graph
-isomorphism", 1981, restricted to the refinement the block order
-allows). When the last vertex is complete these relabelings have run the
-whole lexmin search of the canonical form, so every finished graph is
-canonical and is yielded as it is. The test suite checks the output
-against the canonical form, a depth-first canonicity oracle, brute-force
-labeled enumeration and a tie frontier kept one relabeling per
-permutation.
+cannot yet tell apart travel together as the cell records of ``graphs``,
+through the tie step of the canonical form. When the last vertex is
+complete they have run the whole lexmin search of the canonical form,
+so every finished graph is canonical and is yielded as it is. The tests
+check the output against the canonical form, a depth-first canonicity
+oracle, brute-force labeled enumeration and a tie frontier kept one
+relabeling per permutation.
 
 The scan runs the all-5-cycle premise over every generated connected
 bridgeless graph and reports the graphs that satisfy it.
@@ -39,6 +37,7 @@ from .errors import (
 )
 from .formats import emit_sparse6
 from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
+from .graphs import _cell_end, _min_block, _ranked, _refine
 from .graphs import is_canonical_labeling  # unused here: perfbench/tracing.py wraps it by this name
 
 __all__ = [
@@ -81,30 +80,17 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
     is the smallest unused one. Connectivity is implied: every vertex
     beyond 0 is first reached from a smaller label.
 
-    Alongside the blocks, the search keeps the partial relabelings of
-    the canonical-form search whose blocks 0..level-1 equal the
-    identity's, grouped into records (level, x, start, order). ``order``
-    lists the labeled vertices by label, and ``start[v]`` is the first
-    label of v's cell: a label range whose members the blocks so far
-    cannot tell apart, so every assignment of a cell's labels to its
-    members ties. Vertex x takes label ``level`` (individualization) and
-    the rest of its cell moves up to level + 1; when a level starts
-    inside a cell of k members, k records are filed, one per member.
-
-    The block of x can be computed once x is complete (its block is
-    chosen) and blocks[level] is known, so a record waits under the key
-    max(x, level). Its minimal block gives, inside each cell that x
-    touches, the lower labels to the members with more edges to x, and
-    orders x's unlabeled neighbours, which open new cells after the last
-    label, the same way. Refinement splits each touched cell and the new
-    neighbours by that multiplicity, so the relabelings that reach the
-    minimal block are exactly the permutations inside the new cells. If
-    the minimal block is smaller than blocks[level], no completion of the
-    prefix is canonical and the subtree is dropped; if it is larger, the
-    record is dropped. When vertex t's block is chosen, t becomes a new
-    root and every record waiting on t is extended through the completed
-    vertices. Records are filed under their next key and unfiled on
-    backtrack.
+    Alongside the blocks, the search carries the cell records (level, x,
+    start, order) of ``graphs`` whose blocks 0..level-1 equal the
+    identity's, and advances them with the tie step there. A record can
+    compute its block once x is complete and blocks[level] is known, so
+    it waits under the key max(x, level). A block smaller than
+    blocks[level] drops the subtree, as no completion of the prefix is
+    canonical; a larger one drops the record; on a tie each member of
+    the refined cell at level + 1 becomes a record. When vertex t's block
+    is chosen, t becomes a new root and every record waiting on t is
+    extended through the completed vertices. Records are filed under
+    their next key and unfiled on backtrack.
 
     No finished graph needs another canonicity test. Every record waits
     on a key of at most n - 1, so once vertex n - 1's block is chosen a
@@ -122,27 +108,6 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
     # ranked[x]: (neighbour, multiplicity) pairs of a complete vertex, highest multiplicity first
     ranked: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
-    def cell_end(start: list[int], order: list[int], s: int) -> int:
-        end = s + 1
-        while end < len(order) and start[order[end]] == s:
-            end += 1
-        return end
-
-    def split(start: list[int], order: list[int], s: int, hits: list[tuple[int, int]]) -> None:
-        """Reorder the cell that starts at label s: the hit vertices first, in
-        their order, then the rest; each run of equal multiplicity becomes a cell."""
-        end = cell_end(start, order, s)
-        if end - s == len(hits) and hits[0][1] == hits[-1][1]:
-            return
-        hit = [w for w, _ in hits]
-        rest = [(w, 0) for w in order[s:end] if w not in hit]
-        first = prev = -1
-        for pos, (w, m) in enumerate(hits + rest, s):
-            if m != prev:
-                first, prev = pos, m
-            order[pos] = w
-            start[w] = first
-
     def extend_ties(t: int, filed: list[int]) -> bool:
         """Advance the relabelings waiting on t; False once one beats the prefix."""
         root = [-1] * n
@@ -150,47 +115,18 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
         stack = [(0, t, root, [t])] + waiting[t]
         while stack:
             level, x, start, order = stack.pop()
-            base = len(order)
-            # the minimal block: in each cell the higher multiplicities take
-            # the lower labels, and so do they among the unlabeled neighbours
-            labels: list[int] = []
-            touched: dict[int, list[tuple[int, int]]] = {}
-            fresh: list[tuple[int, int]] = []
-            for pair in ranked[x]:
-                w, m = pair
-                s = start[w]
-                if s >= level:
-                    if s == level:
-                        s += 1  # the rest of x's own cell
-                    hits = touched.setdefault(s, [])
-                    labels += [s + len(hits)] * m
-                    hits.append(pair)
-                elif s < 0:
-                    labels += [base + len(fresh)] * m
-                    fresh.append(pair)
-            blk = tuple(sorted(labels))
+            blk, touched = _min_block(ranked[x], level, start, len(order))
             ref = blocks[level]
             if blk < ref:
                 return False
             if blk > ref:
                 continue
-            if base + len(fresh) == level + 1:
+            if not touched and len(order) == level + 1:
                 continue  # a closed component; fill's connectivity check cuts it
-            start = start.copy()
-            order = order + [w for w, _ in fresh]
-            for w, _ in fresh:
-                start[w] = base
-            # x leads its own cell, then the cells it touches and its new
-            # neighbours split by multiplicity; singletons need no split
-            if level + 1 < base and start[order[level + 1]] == level:
-                split(start, order, level, [(x, 1)])
-            for s, hits in touched.items():
-                split(start, order, s, hits)
-            if len(fresh) > 1:
-                split(start, order, base, fresh)
+            start, order = _refine(level, x, start, order, touched)
             level += 1
-            for w in order[level:cell_end(start, order, level)]:
-                key = max(w, level)
+            for w in order[level:_cell_end(start, order, level)]:
+                key = w if w > level else level
                 if key <= t:
                     stack.append((level, w, start, order))
                 else:
@@ -211,8 +147,7 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
             if left == 0:
                 blocks.append(tuple(chosen))
                 adj[t].extend(chosen)
-                mult = {w: adj[t].count(w) for w in adj[t]}
-                ranked[t] = sorted(mult.items(), key=lambda pair: -pair[1])
+                ranked[t] = _ranked(adj[t])
                 filed: list[int] = []
                 if extend_ties(t, filed):
                     yield from fill(t + 1, frontier)

@@ -44,12 +44,14 @@ def _decode_size(data: bytes) -> tuple[int, bytes]:
         raise FormatError(f"size byte {data[0]} is outside 63..126")
     if data[0] != 126:
         return data[0] - 63, data[1:]
-    if len(data) >= 4 and data[1] != 126:
-        chunks = [b - 63 for b in data[1:4]]
-        if any(c < 0 or c > 63 for c in chunks):
-            raise FormatError("malformed extended size field")
-        return (chunks[0] << 12) | (chunks[1] << 6) | chunks[2], data[4:]
-    raise FormatError("vertex counts above 258047 are not supported")
+    if len(data) > 1 and data[1] == 126:
+        raise FormatError("vertex counts above 258047 are not supported")
+    if len(data) < 4:
+        raise FormatError("extended size field is truncated: '~' must be followed by 3 size bytes")
+    chunks = [b - 63 for b in data[1:4]]
+    if any(c < 0 or c > 63 for c in chunks):
+        raise FormatError("malformed extended size field")
+    return (chunks[0] << 12) | (chunks[1] << 6) | chunks[2], data[4:]
 
 
 def _encode_size(n: int) -> bytes:
@@ -138,10 +140,8 @@ def emit_sparse6(g: CubicGraph) -> bytes:
             put(hi, k)
             bits.append(0)
             put(lo, k)
-    # pad with 1s; for n a power of two a lone leading 0 avoids the
-    # padding being readable as one more edge group
-    if k < 6 and n == (1 << k) and (-len(bits)) % 6 >= k and v < n - 1:
-        bits.append(0)
+    # pad with 1s; the format's extra 0 for n = 2^k is only due while
+    # v < n - 1, and the last edge of a cubic graph ends at vertex n - 1
     bits.extend([1] * ((-len(bits)) % 6))
 
     body = bytearray()

@@ -6,24 +6,33 @@ tuple, so parallel edges stay distinguishable. All operations in this
 package treat graphs as read-only values.
 
 Canonical form is defined as the relabeling whose sorted edge list is
-lexicographically smallest over all vertex permutations. It is computed
-by a level-synchronized search over "block-wise" labelings: label 0 is
-assigned to a root, and whenever a vertex's adjacency is completed its
-still-unlabeled neighbors receive the next consecutive labels. Every
-lexicographically minimal labeling has this shape (new labels appear in
-first-use order in the sorted edge list), so searching block-wise
-labelings only is exhaustive. Certificates are equal exactly for
-isomorphic graphs; this is cross-checked against a brute-force
-permutation oracle in the test suite. The same search answers whether a
-labeling is canonical: its sorted edge list must equal the certificate's.
+lexicographically smallest over all vertex permutations. The "block" of
+label t is the sorted tuple of higher labels adjacent to the vertex
+labeled t, so the blocks concatenate to the sorted edge list. The search
+visits "block-wise" labelings only: label 0 goes to a root, and whenever
+a vertex's adjacency is completed its still-unlabeled neighbors receive
+the next consecutive labels. Every lexicographically minimal labeling
+has this shape, so the search is exhaustive.
+
+Tied relabelings travel as records (level, x, start, order): ``order``
+lists the labeled vertices by label, ``start[v]`` is the first label of
+v's cell (labels the blocks so far cannot tell apart), and x, a member
+of the cell at ``level``, takes that label. The tie step computes a
+record's minimal block (``_min_block``); once it ties, ``_refine``
+splits the touched cells by multiplicity, so the new cells hold exactly
+the relabelings that reach it (partition backtracking, after McKay,
+"Practical graph isomorphism", 1981). The canonical search runs the
+step level by level on all records, the orderly generator in
+``enumeration`` on those of its growing prefix. Certificates are equal
+exactly for isomorphic graphs; the tests check them against permutation
+brute force and a search with one relabeling per permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeError, LoopError, OddVertexCountError
 
@@ -92,11 +101,11 @@ class CubicGraph:
 
     @cached_property
     def _canonical(self) -> "CanonicalForm":
-        blocks, order = _lexmin_blocks(self.n, self.neighbor_lists)
+        levels = list(_lexmin_blocks(self.n, self.neighbor_lists))
         labeling = [0] * self.n
-        for new, old in enumerate(order):
+        for new, old in enumerate(levels[-1][1]):
             labeling[old] = new
-        edges = [(t, w) for t, blk in enumerate(blocks) for w in blk]
+        edges = [(t, w) for t, (blk, _) in enumerate(levels) for w in blk]
         return CanonicalForm(labeling=tuple(labeling), certificate=_certificate(self.n, edges))
 
     def other_endpoint(self, eid: int, vertex: int) -> int:
@@ -160,9 +169,15 @@ def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
 
 
 def is_canonical_labeling(g: CubicGraph) -> bool:
-    """True iff g's own labeling is the canonical one: its sorted edge
-    list is the certificate's. The canonical form stays cached on g."""
-    return g._canonical.certificate == _certificate(g.n, sorted(g.edges))
+    """True iff g's own labeling is the canonical one: each vertex's
+    sorted higher neighbors form the minimal block of its label. Equal
+    blocks mean equal sorted edge lists, since every edge carries its
+    lower label; the search stops at the first block that differs."""
+    upward: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in sorted(g.edges):
+        upward[u].append(v)
+    search = _lexmin_blocks(g.n, g.neighbor_lists)
+    return all(blk == tuple(up) for (blk, _), up in zip(search, upward))
 
 
 def _certificate(n: int, edges: Iterable[tuple[int, int]]) -> bytes:
@@ -170,54 +185,104 @@ def _certificate(n: int, edges: Iterable[tuple[int, int]]) -> bytes:
     return (f"{n}|" + ",".join(f"{u}-{v}" for u, v in edges)).encode("ascii")
 
 
+def _ranked(row: Sequence[int]) -> list[tuple[int, int]]:
+    """A vertex's (neighbor, multiplicity) pairs, highest multiplicity first."""
+    mult = {w: row.count(w) for w in row}
+    return sorted(mult.items(), key=lambda pair: -pair[1])
+
+
+def _cell_end(start: list[int], order: list[int], s: int) -> int:
+    """One past the last label of the cell that starts at label s."""
+    end = s + 1
+    while end < len(order) and start[order[end]] == s:
+        end += 1
+    return end
+
+
+def _split(start: list[int], order: list[int], s: int, hits: list[tuple[int, int]]) -> None:
+    """Reorder the cell that starts at label s: the hit vertices first, in
+    their order, then the rest; each run of equal multiplicity becomes a cell."""
+    past = s + len(hits)
+    if hits[0][1] == hits[-1][1] and (past == len(order) or start[order[past]] != s):
+        return  # the hits fill the cell with one multiplicity
+    end = _cell_end(start, order, s)
+    hit = [w for w, _ in hits]
+    rest = [(w, 0) for w in order[s:end] if w not in hit]
+    first = prev = -1
+    for pos, (w, m) in enumerate(hits + rest, s):
+        if m != prev:
+            first, prev = pos, m
+        order[pos] = w
+        start[w] = first
+
+
+def _min_block(
+    ranked: list[tuple[int, int]], level: int, start: list[int], base: int
+) -> tuple[tuple[int, ...], dict[int, list[tuple[int, int]]]]:
+    """The block of a record whose vertex, with neighbors ``ranked``,
+    takes label ``level`` while ``base`` labels are in use, and its
+    neighbors per cell, keyed by first label; the unlabeled ones form a
+    new cell at ``base``. Higher multiplicities take lower labels."""
+    labels: list[int] = []
+    touched: dict[int, list[tuple[int, int]]] = {}
+    for pair in ranked:
+        s = start[pair[0]]
+        if s < 0:
+            s = base
+        elif s < level:
+            continue
+        elif s == level:
+            s += 1  # the rest of x's own cell
+        hits = touched.setdefault(s, [])
+        labels += [s + len(hits)] * pair[1]
+        hits.append(pair)
+    return tuple(sorted(labels)), touched
+
+
+def _refine(
+    level: int, x: int, start: list[int], order: list[int], touched: dict[int, list[tuple[int, int]]]
+) -> tuple[list[int], list[int]]:
+    """New (start, order) once x's minimal block ties: x holds label
+    ``level``, and the cells after it hold the relabelings reaching it."""
+    base = len(order)
+    start = start.copy()
+    order = order + [w for w, _ in touched.get(base, ())]
+    for w in order[base:]:
+        start[w] = base
+    if level + 1 < base and start[order[level + 1]] == level:
+        _split(start, order, level, [(x, 1)])
+    for s, hits in touched.items():
+        _split(start, order, s, hits)
+    return start, order
+
+
 def _lexmin_blocks(
     n: int, adj: Sequence[Sequence[int]]
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Find the lexicographically smallest block-wise labeling.
-
-    The "block" of label t is the sorted tuple of higher labels adjacent
-    to the vertex labeled t; the concatenation of blocks is the sorted
-    edge list. The search keeps, level by level, every partial labeling
-    achieving the minimal block prefix, so ties (automorphisms) never
-    cut off the true minimum.
-    """
-    frontier: list[tuple[list[int], list[int]]] = [([-1] * n, [])]
-    blocks: list[tuple[int, ...]] = []
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Yield, for t = 0..n-1, the minimal block of label t and the order
+    of a relabeling reaching blocks 0..t. Only the records whose block is
+    the minimum are refined; ``start`` and ``order`` hold the last one."""
+    ranked = [_ranked(row) for row in adj]
+    start, order = [-1] * n, []
     for t in range(n):
-        if t == len(frontier[0][1]):
-            # A new component opens. Every tie has closed components with
-            # the same blocks, so the unlabeled rests are isomorphic and
-            # give the same remaining blocks. The first tie keeps the
-            # labeling; the rest would multiply the work per component.
-            frontier = frontier[:1]
-        best_blk: tuple[int, ...] | None = None
-        children: list[tuple[list[int], list[int]]] = []
-        for lab, order in frontier:
-            if t == len(order):
-                # previous component exhausted: open a new one at any root
-                starts = []
-                for root in range(n):
-                    if lab[root] < 0:
-                        lab2 = lab.copy()
-                        lab2[root] = t
-                        starts.append((lab2, order + [root]))
-            else:
-                starts = [(lab, order)]
-            for lab0, order0 in starts:
-                x = order0[t]
-                unlabeled = sorted({w for w in adj[x] if lab0[w] < 0})
-                base = len(order0)
-                for perm in permutations(unlabeled):
-                    lab2 = lab0.copy()
-                    for i, w in enumerate(perm):
-                        lab2[w] = base + i
-                    blk = tuple(sorted(lab2[w] for w in adj[x] if lab2[w] > t))
-                    if best_blk is None or blk < best_blk:
-                        best_blk = blk
-                        children = [(lab2, order0 + list(perm))]
-                    elif blk == best_blk:
-                        children.append((lab2, order0 + list(perm)))
-        assert best_blk is not None
-        blocks.append(best_blk)
-        frontier = children
-    return blocks, frontier[0][1]
+        if t == len(order):
+            # a component opens at any unlabeled vertex
+            records = [(r, start[:r] + [t] + start[r + 1:], order + [r])
+                       for r in range(n) if start[r] < 0]
+        best, ties = None, []
+        for x, start, order in records:
+            blk, touched = _min_block(ranked[x], t, start, len(order))
+            if best is None or blk < best:
+                best, ties = blk, [(x, start, order, touched)]
+            elif blk == best:
+                ties.append((x, start, order, touched))
+        records = []
+        for x, start, order, touched in ties:
+            start, order = _refine(t, x, start, order, touched)
+            if len(order) == t + 1:
+                # The component closed in every tie with the same blocks, so
+                # the unlabeled rests are isomorphic. The first tie keeps the
+                # labeling; the rest would multiply the work per component.
+                break
+            records += [(w, start, order) for w in order[t + 1:_cell_end(start, order, t + 1)]]
+        yield best, order

@@ -6,7 +6,9 @@ through all n! permutations, matchings come from subsets of the edge
 list, and cuts from edge triples or vertex bipartitions. Slow but
 obviously correct at the sizes the tests use them. The canonicity
 oracle is a depth-first lexmin search, independent of the package's
-breadth-first one. Ordered oracles pin the order of a pruned search,
+breadth-first one; the certificate oracle is that breadth-first search
+as it was before cells, keeping one relabeling per permutation of a
+vertex's new neighbours. Ordered oracles pin the order of a pruned search,
 not just its output set: one generation oracle filters every block-wise
 labeled graph through the canonicity oracle, with no prefix pruning; a
 second prunes prefixes with a tie frontier that keeps one relabeling per
@@ -19,7 +21,7 @@ oracles read every spectrum off the cycles that
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from cubicscan.graphs import CubicGraph
 from cubicscan.matching import complementary_two_factor, cycle_spectrum
@@ -59,7 +61,9 @@ def labeled_cubic_edge_lists(n: int, allow_multi: bool) -> set[tuple[tuple[int, 
         for mult in range(cap, -1, -1):
             deg[u] += mult
             deg[v] += mult
-            rec(i + 1, left - mult, deg, edges + [(u, v)] * mult)
+            # (u, n - 1) is the last pair at u, so u must be complete after it
+            if v < n - 1 or deg[u] == 3:
+                rec(i + 1, left - mult, deg, edges + [(u, v)] * mult)
             deg[u] -= mult
             deg[v] -= mult
 
@@ -148,6 +152,59 @@ def dfs_is_canonical_labeling(g: CubicGraph) -> bool:
 
     step(0)
     return not smaller_found
+
+
+def lexmin_blocks_per_permutation(
+    n: int, adj: Sequence[Sequence[int]]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Find the lexicographically smallest block-wise labeling.
+
+    The "block" of label t is the sorted tuple of higher labels adjacent
+    to the vertex labeled t; the concatenation of blocks is the sorted
+    edge list. The search keeps, level by level, every partial labeling
+    achieving the minimal block prefix, so ties (automorphisms) never
+    cut off the true minimum.
+    """
+    frontier: list[tuple[list[int], list[int]]] = [([-1] * n, [])]
+    blocks: list[tuple[int, ...]] = []
+    for t in range(n):
+        if t == len(frontier[0][1]):
+            # A new component opens. Every tie has closed components with
+            # the same blocks, so the unlabeled rests are isomorphic and
+            # give the same remaining blocks. The first tie keeps the
+            # labeling; the rest would multiply the work per component.
+            frontier = frontier[:1]
+        best_blk: tuple[int, ...] | None = None
+        children: list[tuple[list[int], list[int]]] = []
+        for lab, order in frontier:
+            if t == len(order):
+                # previous component exhausted: open a new one at any root
+                starts = []
+                for root in range(n):
+                    if lab[root] < 0:
+                        lab2 = lab.copy()
+                        lab2[root] = t
+                        starts.append((lab2, order + [root]))
+            else:
+                starts = [(lab, order)]
+            for lab0, order0 in starts:
+                x = order0[t]
+                unlabeled = sorted({w for w in adj[x] if lab0[w] < 0})
+                base = len(order0)
+                for perm in permutations(unlabeled):
+                    lab2 = lab0.copy()
+                    for i, w in enumerate(perm):
+                        lab2[w] = base + i
+                    blk = tuple(sorted(lab2[w] for w in adj[x] if lab2[w] > t))
+                    if best_blk is None or blk < best_blk:
+                        best_blk = blk
+                        children = [(lab2, order0 + list(perm))]
+                    elif blk == best_blk:
+                        children.append((lab2, order0 + list(perm)))
+        assert best_blk is not None
+        blocks.append(best_blk)
+        frontier = children
+    return blocks, frontier[0][1]
 
 
 def orderly_cubic_graphs(n: int, allow_multi: bool) -> list[tuple[tuple[int, int], ...]]:

@@ -248,6 +248,15 @@ def test_size_byte_below_63_exits_two(capsys, monkeypatch):
         assert "size byte 48" in capsys.readouterr().err
 
 
+def test_truncated_size_field_exits_two(capsys, monkeypatch):
+    import io
+
+    for line in ("~\n", "~??\n", ":~\n", ":~?\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        assert main(["analyze"]) == 2
+        assert "extended size field is truncated" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(capsys):
     code = main(["analyze", "--input", "/nonexistent/path.g6"])
     assert code == 2

@@ -45,7 +45,9 @@ def test_sparse6_matches_networkx_encoder(triple_edge, k4, k33, prism, petersen_
 
 
 def test_sparse6_power_of_two_padding_cases():
-    # n = 8 and n = 16 hit the special padding rule for n = 2^k
+    # n = 8 and n = 16 are powers of two; the format's extra 0 before the
+    # padding is due only while the last edge group ends below n - 1, which
+    # never holds for a cubic graph, so the bytes must still equal networkx's
     from cubicscan.graphs import from_edge_list
 
     cube = nx.convert_node_labels_to_integers(nx.hypercube_graph(3))
@@ -98,6 +100,17 @@ def test_size_bytes_below_63_are_rejected():
         parse_graph6(b"0")
     with pytest.raises(FormatError, match="size byte 48"):
         parse_sparse6(b":0")
+
+
+def test_truncated_extended_size_field_is_named():
+    # '~' announces three more size bytes; fewer is not a vertex count above 258047
+    for size in (b"~", b"~?", b"~??"):
+        with pytest.raises(FormatError, match="extended size field is truncated"):
+            parse_graph6(size)
+        with pytest.raises(FormatError, match="extended size field is truncated"):
+            parse_sparse6(b":" + size)
+    with pytest.raises(FormatError, match="above 258047"):
+        parse_graph6(b"~~??????")
 
 
 def test_graph6_k4():

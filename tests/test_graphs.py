@@ -5,8 +5,11 @@ from itertools import combinations
 
 import pytest
 
+import cubicscan.graphs
+from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.errors import DegreeError, LoopError, OddVertexCountError
 from cubicscan.graphs import (
+    CubicGraph,
     canonical_form,
     from_edge_list,
     is_canonical_labeling,
@@ -14,7 +17,13 @@ from cubicscan.graphs import (
     petersen,
     relabeled,
 )
-from oracles import brute_isomorphic, dfs_is_canonical_labeling, isomorphism_classes
+from oracles import (
+    brute_isomorphic,
+    dfs_is_canonical_labeling,
+    isomorphism_classes,
+    labeled_cubic_edge_lists,
+    lexmin_blocks_per_permutation,
+)
 
 ALL_K4_PAIRS = list(combinations(range(4), 2))
 
@@ -212,3 +221,62 @@ def test_disconnected_graphs_canonicalize(two_k4s_disconnected_edges, k4):
     assert is_isomorphic(double_petersen, relabeled(double_petersen, perm))
     form = canonical_form(double_petersen)
     assert is_canonical_labeling(relabeled(double_petersen, form.labeling))
+
+
+def test_is_canonical_labeling_equals_the_dfs_oracle_on_every_labeled_graph():
+    # nearly every labeled graph is rejected, most at an early block
+    for n, allow_multi in ((4, False), (6, False), (8, False), (2, True), (4, True), (6, True)):
+        for edges in labeled_cubic_edge_lists(n, allow_multi):
+            g = CubicGraph(n=n, edges=edges)
+            assert is_canonical_labeling(g) == dfs_is_canonical_labeling(g)
+
+
+def test_canonical_form_equals_the_per_permutation_search(prisms, prism50):
+    # the cell records must reach the blocks of one relabeling per
+    # permutation; the labeling may differ inside the final cells
+    rng = random.Random(1981)
+    classes = [g for n in range(4, 13, 2) for g in generate_cubic_graphs(n)]
+    classes += [g for n in range(2, 11, 2) for g in generate_cubic_graphs(n, allow_multi=True)]
+    unions = []
+    for i in range(20):
+        k = 2 + i % 2
+        parts = rng.choices(classes, k=k) if i % 4 < 2 else [rng.choice(classes)] * k
+        offsets = [sum(p.n for p in parts[:j]) for j in range(k)]
+        unions.append(
+            from_edge_list(
+                sum(p.n for p in parts),
+                [(u + off, v + off) for p, off in zip(parts, offsets) for u, v in p.edges],
+            )
+        )
+    for g in classes + unions + list(prisms.values()) + [prism50]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabeled(g, perm)
+        blocks, _ = lexmin_blocks_per_permutation(h.n, h.neighbor_lists)
+        edges = [(t, w) for t, blk in enumerate(blocks) for w in blk]
+        form = canonical_form(h)
+        assert form.certificate == f"{h.n}|{','.join(f'{u}-{v}' for u, v in edges)}".encode()
+        assert sorted(relabeled(h, form.labeling).edges) == edges
+
+
+def test_only_the_first_tie_opens_the_next_component(monkeypatch, k4):
+    # every tie closes a component with the same blocks, so carrying all of
+    # them would multiply the records by |Aut(K4)| = 24 per closed K4;
+    # with the first tie alone the work grows with the square of the count
+    real = cubicscan.graphs._min_block
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cubicscan.graphs, "_min_block", counted)
+    work = []
+    for copies in (1, 3):
+        union = from_edge_list(
+            4 * copies, [(u + 4 * i, v + 4 * i) for i in range(copies) for u, v in k4.edges]
+        )
+        calls.clear()
+        canonical_form(union)
+        work.append(len(calls))
+    assert work[1] <= 3**2 * work[0]
