@@ -6,12 +6,20 @@ perfect matching enumeration. Matchings are sets of edge ids, which
 keeps parallel edges distinct.
 
 One depth-first search over vertex bitmasks, ``_perfect_matchings``,
-serves every caller. It cuts a branch as soon as an uncovered vertex
-next to the two just matched has no uncovered neighbor left. Only
-subtrees without a perfect matching are cut, so enumeration order,
-the premise witness and every ``exists_*`` answer are those of the
-plain search; the test suite keeps the plain search as an ordered
-oracle.
+serves every caller. It branches on the lowest uncovered vertex and,
+after each match, propagates forced vertices: an uncovered vertex with
+no uncovered neighbor left ends the branch, and one with a single
+uncovered neighbor, joined by a single edge, is matched to it at once.
+A forced vertex has the same edge in every perfect matching below its
+node, so forcing removes only subtrees without a perfect matching and
+chains of single children. Enumeration order and the premise witness
+are therefore those of the plain search, which the test suite keeps as
+an ordered oracle.
+
+The search can start with edges already matched. Each ``exists_*``
+predicate is a first-leaf query of that kind: one for a required edge
+or pair of edges, and a forbidden edge uv becomes a required one,
+since a matching avoids uv exactly when it matches u by another edge.
 
 Every premise answer reads only cycle lengths: the paper's premise is
 that each complementary 2-factor splits into 5-cycles, which is a
@@ -123,55 +131,100 @@ def tutte_condition(g: CubicGraph, subset: set[int]) -> TutteCheck:
     return TutteCheck(odd_components=odd, satisfied=odd <= len(removed))
 
 
-def _perfect_matchings(g: CubicGraph) -> Iterator[PerfectMatching]:
+def _perfect_matchings(
+    g: CubicGraph, forced: tuple[int, ...] = ()
+) -> Iterator[PerfectMatching]:
     """Depth-first enumeration over vertex bitmasks, branching on the
-    lowest uncovered vertex and cutting dead ends.
+    lowest uncovered vertex and matching forced vertices at once.
 
-    Branches follow ascending (neighbor, edge id) order, so the output
-    order is deterministic; parallel edges are explored as distinct
-    branches. Matching v to w takes one option away from each other
-    neighbor of v and of w, and only from them. A branch is cut when
-    one of those neighbors is still uncovered but has no uncovered
-    neighbor left: that vertex can never be matched, so the cut subtree
-    holds no perfect matching, and the matchings that remain come out in
-    the same order as from the search without the cut.
+    ``forced`` holds ids of pairwise disjoint edges; the search starts
+    with them matched, so it yields exactly the perfect matchings that
+    contain them. Branches follow ascending (neighbor, edge id) order;
+    parallel edges are explored as distinct branches.
+
+    After each match the search propagates, as unit propagation does
+    (Davis, Logemann and Loveland, 1962). A worklist bitmask holds the
+    uncovered neighbors of the vertices just covered. One with no
+    uncovered neighbor left ends the branch. One whose only uncovered
+    neighbor is joined to it by a single edge is matched along that
+    edge, and the neighbors of the new pair join the worklist. A vertex
+    whose last uncovered neighbor is joined by parallel edges still
+    branches, in edge id order.
+
+    Forcing keeps the lowest-vertex order. Two leaves of the search
+    part at the lowest uncovered vertex of their last common node, and
+    every lower vertex is matched alike in both, so the leaves come out
+    ordered by their matched (neighbor, edge id) at the smallest vertex
+    where they differ; that order does not depend on the tree. A
+    forced vertex has the same edge in every perfect matching below its
+    node, so forcing only removes subtrees without a perfect matching
+    and chains of single children: the matchings, and their order, are
+    those of the plain search, which the test suite keeps as an oracle.
+
+    Matched edge ids go into one per-vertex list, and a leaf yields
+    ``frozenset(matched)``, since each id appears there twice. Every
+    vertex covered on the path to a leaf was written when it was
+    covered, so entries left by abandoned branches never reach a leaf.
     """
     full = (1 << g.n) - 1
-    bit = [1 << v for v in range(g.n)]
-    nbrs = g.neighbor_lists
-    neighbor_mask = [bit[a] | bit[b] | bit[c] for a, b, c in nbrs]
-    watch = [
-        ((bit[a], neighbor_mask[a]), (bit[b], neighbor_mask[b]), (bit[c], neighbor_mask[c]))
-        for a, b, c in nbrs
-    ]
-    # per vertex v, one (bit of w, edge id, watched) per edge vw in
-    # adjacency order; watched pairs each neighbor of v and of w with its
-    # neighbor mask, v and w included: the cut skips them as covered
+    neighbor_mask = [1 << a | 1 << b | 1 << c for a, b, c in g.neighbor_lists]
+    # the id of the edge joining two vertices, keyed by their two bits;
+    # None for two vertices joined by parallel edges
+    pair_edge: dict[int, int | None] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        pair = 1 << u | 1 << v
+        pair_edge[pair] = None if pair in pair_edge else eid
+    # per vertex v, one (bit of w, w, edge id, worklist) per edge vw in
+    # adjacency order; the worklist holds the neighbors of v and of w
     branches = [
-        [(bit[w], eid, watch[v] + watch[w]) for w, eid in row]
+        [(1 << w, w, eid, neighbor_mask[v] | neighbor_mask[w]) for w, eid in row]
         for v, row in enumerate(g.adjacency)
     ]
-    chosen: list[int] = []
+    matched = [-1] * g.n
+
+    def propagate(covered: int, work: int) -> int | None:
+        """``covered`` with every forced vertex matched; None at a dead end."""
+        work &= ~covered
+        while work:
+            u_bit = work & -work
+            work ^= u_bit
+            u = u_bit.bit_length() - 1
+            free = neighbor_mask[u] & ~covered
+            if not free:
+                return None
+            # u_bit | free is a key only when one neighbor is left
+            eid = pair_edge.get(u_bit | free)
+            if eid is not None:
+                x = free.bit_length() - 1
+                covered |= u_bit | free
+                matched[u] = matched[x] = eid
+                work = (work | neighbor_mask[x]) & ~covered
+        return covered
 
     def extend(covered: int) -> Iterator[PerfectMatching]:
         if covered == full:
-            yield frozenset(chosen)
+            yield frozenset(matched)
             return
         lowest = ~covered & (covered + 1)
+        v = lowest.bit_length() - 1
         covered |= lowest
-        for w_bit, eid, watched in branches[lowest.bit_length() - 1]:
+        for w_bit, w, eid, work in branches[v]:
             if covered & w_bit:
                 continue
-            now = covered | w_bit
-            for u_bit, mask in watched:
-                if not u_bit & now and mask | now == now:
-                    break
-            else:
-                chosen.append(eid)
+            now = propagate(covered | w_bit, work)
+            if now is not None:
+                matched[v] = matched[w] = eid
                 yield from extend(now)
-                chosen.pop()
 
-    yield from extend(0)
+    covered = work = 0
+    for eid in forced:
+        u, v = g.edges[eid]
+        covered |= 1 << u | 1 << v
+        work |= neighbor_mask[u] | neighbor_mask[v]
+        matched[u] = matched[v] = eid
+    start = propagate(covered, work)
+    if start is not None:
+        yield from extend(start)
 
 
 def enumerate_perfect_matchings(g: CubicGraph) -> tuple[PerfectMatching, ...]:
@@ -179,8 +232,13 @@ def enumerate_perfect_matchings(g: CubicGraph) -> tuple[PerfectMatching, ...]:
     return tuple(_perfect_matchings(g))
 
 
+def _exists_with(g: CubicGraph, *forced: int) -> bool:
+    """Some perfect matching contains these pairwise disjoint edges."""
+    return next(_perfect_matchings(g, forced), None) is not None
+
+
 def exists_perfect_matching(g: CubicGraph) -> bool:
-    return next(_perfect_matchings(g), None) is not None
+    return _exists_with(g)
 
 
 def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
@@ -320,30 +378,62 @@ def all_two_factors_are_five_cycles(g: CubicGraph) -> bool:
     return five_cycle_premise_witness(g) is None
 
 
+def _check_edge_ids(g: CubicGraph, *ids: int) -> None:
+    for eid in ids:
+        if not 0 <= eid < len(g.edges):
+            raise ValueError(f"edge id {eid} out of range")
+
+
+def _other_edges(g: CubicGraph, eid: int) -> list[int]:
+    """The two other edge ids at the first endpoint of the edge."""
+    return [other for _, other in g.adjacency[g.edges[eid][0]] if other != eid]
+
+
 def exists_pm_with_edge(g: CubicGraph, eid: int) -> bool:
     """Some perfect matching contains the edge with this id."""
-    return any(eid in m for m in _perfect_matchings(g))
+    _check_edge_ids(g, eid)
+    return _exists_with(g, eid)
 
 
 def exists_pm_avoiding_edge(g: CubicGraph, eid: int) -> bool:
-    """Some perfect matching avoids the edge with this id."""
-    return any(eid not in m for m in _perfect_matchings(g))
+    """Some perfect matching avoids the edge with this id.
+
+    A matching avoids uv exactly when it matches u by another edge, so
+    this asks whether one of the other two edges at u is in a matching.
+    """
+    _check_edge_ids(g, eid)
+    return any(_exists_with(g, other) for other in _other_edges(g, eid))
 
 
 def exists_pm_with_edge_pair(g: CubicGraph, eid: int, fid: int) -> bool:
     """Some perfect matching contains both edges; they must be disjoint."""
+    _check_edge_ids(g, eid, fid)
     if eid == fid:
         raise ValueError("the two edges must be distinct")
     if set(g.edges[eid]) & set(g.edges[fid]):
         raise ValueError("the two edges must not share an endpoint")
-    return any(eid in m and fid in m for m in _perfect_matchings(g))
+    return _exists_with(g, eid, fid)
 
 
 def exists_two_factor_through_edges(g: CubicGraph, eid: int, fid: int) -> bool:
-    """Some 2-factor contains both edges, i.e. some matching avoids both."""
+    """Some 2-factor contains both edges, i.e. some matching avoids both.
+
+    A matching avoids both exactly when it holds one of the other edges
+    at an endpoint of the first and one at an endpoint of the second,
+    so at most four forced pairs are asked; a pick made twice is asked
+    alone, and two picks that share an endpoint never lie in a matching.
+    """
+    _check_edge_ids(g, eid, fid)
     if eid == fid:
         raise ValueError("the two edges must be distinct")
-    return any(eid not in m and fid not in m for m in _perfect_matchings(g))
+    for e in _other_edges(g, eid):
+        for f in _other_edges(g, fid):
+            if e == f:
+                if _exists_with(g, e):
+                    return True
+            elif not set(g.edges[e]) & set(g.edges[f]) and _exists_with(g, e, f):
+                return True
+    return False
 
 
 def exists_triangle_free_two_factor(g: CubicGraph) -> bool:

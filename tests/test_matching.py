@@ -65,13 +65,41 @@ def _random_multigraphs() -> list:
     return [_pairing_multigraph(rng, n) for n in range(12, 21, 2) for _ in range(8)]
 
 
+def _random_simple_graphs() -> list:
+    """20 seeded pairing-model simple graphs with n = 30."""
+    rng = random.Random(30)
+    graphs = []
+    while len(graphs) < 20:
+        g = _pairing_multigraph(rng, 30)
+        if not g.has_parallel_edges:
+            graphs.append(g)
+    return graphs
+
+
+def _doubled_edge_ring():
+    """Three doubled edges joined in a ring by single edges (n = 6). Once
+    one of a vertex's neighbours is covered, its last uncovered neighbour
+    can be the one joined by the doubled edge."""
+    doubled = [(0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (4, 5)]
+    return from_edge_list(6, doubled + [(1, 2), (3, 4), (5, 0)])
+
+
 def test_pruned_search_yields_the_unpruned_order(
-    small_graphs, petersen_graph, triple_edge, prism15, no_perfect_matching10
+    small_graphs, petersen_graph, triple_edge, prisms, no_perfect_matching10
 ):
-    graphs = [*small_graphs, petersen_graph, triple_edge, prism15, no_perfect_matching10]
-    for g in graphs + _random_multigraphs():
+    graphs = [
+        *small_graphs,
+        petersen_graph,
+        triple_edge,
+        *prisms.values(),
+        no_perfect_matching10,
+        _doubled_edge_ring(),
+    ]
+    for g in graphs + _random_multigraphs() + _random_simple_graphs():
         assert list(enumerate_perfect_matchings(g)) == list(unpruned_perfect_matchings(g))
     assert enumerate_perfect_matchings(no_perfect_matching10) == ()
+    # the three single edges, or one edge of each doubled pair
+    assert len(enumerate_perfect_matchings(_doubled_edge_ring())) == 9
 
 
 def test_prism_matching_counts_follow_the_lucas_numbers(prisms):
@@ -313,6 +341,38 @@ def test_two_factor_through_edges(petersen_graph, k4, bridged8):
     for fid in range(len(bridged8.edges)):
         if fid != bridge:
             assert not exists_two_factor_through_edges(bridged8, bridge, fid)
+
+
+def test_edge_queries_equal_the_enumeration_answers():
+    graphs = [g for n in (2, 4, 6, 8) for g in generate_cubic_graphs(n, allow_multi=True)]
+    graphs += [g for n in (4, 6, 8, 10) for g in generate_cubic_graphs(n)]
+    for g in graphs:
+        matchings = enumerate_perfect_matchings(g)
+        for eid in range(len(g.edges)):
+            assert exists_pm_with_edge(g, eid) == any(eid in m for m in matchings)
+            assert exists_pm_avoiding_edge(g, eid) == any(eid not in m for m in matchings)
+        for eid, fid in combinations(range(len(g.edges)), 2):
+            avoided = any(eid not in m and fid not in m for m in matchings)
+            assert exists_two_factor_through_edges(g, eid, fid) == avoided
+            if not set(g.edges[eid]) & set(g.edges[fid]):
+                both = any(eid in m and fid in m for m in matchings)
+                assert exists_pm_with_edge_pair(g, eid, fid) == both
+
+
+def test_edge_queries_reject_ids_out_of_range(k4):
+    for eid in (6, 99, -1):
+        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
+            exists_pm_with_edge(k4, eid)
+        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
+            exists_pm_avoiding_edge(k4, eid)
+        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
+            exists_pm_with_edge_pair(k4, eid, 0)
+        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
+            exists_pm_with_edge_pair(k4, 5, eid)
+        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
+            exists_two_factor_through_edges(k4, eid, -2)
+        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
+            exists_two_factor_through_edges(k4, 0, eid)
 
 
 def test_triangle_free_two_factor(k4, petersen_graph, triple_edge):
