@@ -19,7 +19,9 @@ oracle, brute-force labeled enumeration and a tie frontier kept one
 relabeling per permutation.
 
 The scan runs the all-5-cycle premise over every generated connected
-bridgeless graph and reports the graphs that satisfy it.
+bridgeless graph and reports the graphs that satisfy it. It takes the
+graphs one at a time as the generator yields them and keeps only the
+positives, so its memory does not grow with the class count.
 """
 
 from __future__ import annotations
@@ -247,11 +249,15 @@ class ScanReport:
         }
 
 
-def _scan_one_n(graphs: list[CubicGraph], n: int) -> NScanStats:
+def _scan_one_n(graphs: Iterable[CubicGraph], n: int) -> NScanStats:
     started = time.perf_counter()
-    bridgeless = list(filter_bridgeless(graphs))
+    generated = bridgeless = 0
     positives = []
-    for g in bridgeless:
+    for g in graphs:
+        generated += 1
+        if connectivity.bridges(g):
+            continue
+        bridgeless += 1
         if not matching.all_two_factors_are_five_cycles(g):
             continue
         cert = canonical_form(g).certificate
@@ -265,8 +271,8 @@ def _scan_one_n(graphs: list[CubicGraph], n: int) -> NScanStats:
         )
     positives.sort(key=lambda p: p.certificate)
     return NScanStats(
-        generated=len(graphs),
-        bridgeless=len(bridgeless),
+        generated=generated,
+        bridgeless=bridgeless,
         premise_positive=tuple(positives),
         elapsed_seconds=round(time.perf_counter() - started, 6),
     )
@@ -285,8 +291,7 @@ def scan_theorem(n_max: int, allow_multi: bool = False) -> ScanReport:
     n_range = tuple(range(lowest, n_max + 1, 2))
     per_n = {}
     for n in n_range:
-        graphs = list(generate_cubic_graphs(n, allow_multi))
-        per_n[n] = _scan_one_n(graphs, n)
+        per_n[n] = _scan_one_n(generate_cubic_graphs(n, allow_multi), n)
     return ScanReport(
         n_range=n_range,
         allow_multi=allow_multi,

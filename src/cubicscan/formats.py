@@ -231,8 +231,12 @@ def parse_auto(text: bytes | str) -> CubicGraph:
 
 
 def iter_graph_lines(lines: Iterable[bytes | str], fmt: str = "auto") -> Iterator[CubicGraph]:
-    """Parse a one-graph-per-line corpus in graph6/sparse6 format."""
-    parser = {"auto": parse_auto, "graph6": parse_graph6, "sparse6": parse_sparse6}[fmt]
+    """Parse a one-graph-per-line corpus in graph6/sparse6 format; any
+    other ``fmt`` raises FormatError."""
+    parsers = {"auto": parse_auto, "graph6": parse_graph6, "sparse6": parse_sparse6}
+    if fmt not in parsers:
+        raise FormatError(f"unsupported corpus format {fmt!r}: use one of {', '.join(parsers)}")
+    parser = parsers[fmt]
     for line in lines:
         data = _as_bytes(line).strip()
         if data:

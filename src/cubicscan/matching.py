@@ -5,7 +5,7 @@ In a cubic graph the complement of a perfect matching is always a
 perfect matching enumeration. Matchings are sets of edge ids, which
 keeps parallel edges distinct.
 
-One depth-first search over vertex bitmasks, ``_perfect_matchings``,
+One depth-first search over vertex bitmasks, ``_matching_search``,
 serves every caller. It branches on the lowest uncovered vertex and,
 after each match, propagates forced vertices: an uncovered vertex with
 no uncovered neighbor left ends the branch, and one with a single
@@ -20,6 +20,9 @@ The search can start with edges already matched. Each ``exists_*``
 predicate is a first-leaf query of that kind: one for a required edge
 or pair of edges, and a forbidden edge uv becomes a required one,
 since a matching avoids uv exactly when it matches u by another edge.
+``_matching_search(g)`` does the per-graph setup once and returns the
+search, so a caller with many such questions about one graph, as the
+verifier's claim C8 asks one per 3-edge path, pays for it once.
 
 Every premise answer reads only cycle lengths: the paper's premise is
 that each complementary 2-factor splits into 5-cycles, which is a
@@ -131,16 +134,17 @@ def tutte_condition(g: CubicGraph, subset: set[int]) -> TutteCheck:
     return TutteCheck(odd_components=odd, satisfied=odd <= len(removed))
 
 
-def _perfect_matchings(
-    g: CubicGraph, forced: tuple[int, ...] = ()
-) -> Iterator[PerfectMatching]:
-    """Depth-first enumeration over vertex bitmasks, branching on the
-    lowest uncovered vertex and matching forced vertices at once.
+def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
+    """The per-graph setup of the perfect matching search.
 
-    ``forced`` holds ids of pairwise disjoint edges; the search starts
-    with them matched, so it yields exactly the perfect matchings that
-    contain them. Branches follow ascending (neighbor, edge id) order;
-    parallel edges are explored as distinct branches.
+    The returned ``search(*forced)`` enumerates depth-first over vertex
+    bitmasks, branching on the lowest uncovered vertex and matching
+    forced vertices at once. ``forced`` holds ids of pairwise disjoint
+    edges; the search starts with them matched, so it yields exactly the
+    perfect matchings that contain them. Branches follow ascending
+    (neighbor, edge id) order; parallel edges are explored as distinct
+    branches. Each call has its own state, so searches from one setup
+    can run interleaved.
 
     After each match the search propagates, as unit propagation does
     (Davis, Logemann and Loveland, 1962). A worklist bitmask holds the
@@ -180,65 +184,69 @@ def _perfect_matchings(
         [(1 << w, w, eid, neighbor_mask[v] | neighbor_mask[w]) for w, eid in row]
         for v, row in enumerate(g.adjacency)
     ]
-    matched = [-1] * g.n
 
-    def propagate(covered: int, work: int) -> int | None:
-        """``covered`` with every forced vertex matched; None at a dead end."""
-        work &= ~covered
-        while work:
-            u_bit = work & -work
-            work ^= u_bit
-            u = u_bit.bit_length() - 1
-            free = neighbor_mask[u] & ~covered
-            if not free:
-                return None
-            # u_bit | free is a key only when one neighbor is left
-            eid = pair_edge.get(u_bit | free)
-            if eid is not None:
-                x = free.bit_length() - 1
-                covered |= u_bit | free
-                matched[u] = matched[x] = eid
-                work = (work | neighbor_mask[x]) & ~covered
-        return covered
+    def search(*forced: int) -> Iterator[PerfectMatching]:
+        matched = [-1] * g.n
 
-    def extend(covered: int) -> Iterator[PerfectMatching]:
-        if covered == full:
-            yield frozenset(matched)
-            return
-        lowest = ~covered & (covered + 1)
-        v = lowest.bit_length() - 1
-        covered |= lowest
-        for w_bit, w, eid, work in branches[v]:
-            if covered & w_bit:
-                continue
-            now = propagate(covered | w_bit, work)
-            if now is not None:
-                matched[v] = matched[w] = eid
-                yield from extend(now)
+        def propagate(covered: int, work: int) -> int | None:
+            """``covered`` with every forced vertex matched; None at a dead end."""
+            work &= ~covered
+            while work:
+                u_bit = work & -work
+                work ^= u_bit
+                u = u_bit.bit_length() - 1
+                free = neighbor_mask[u] & ~covered
+                if not free:
+                    return None
+                # u_bit | free is a key only when one neighbor is left
+                eid = pair_edge.get(u_bit | free)
+                if eid is not None:
+                    x = free.bit_length() - 1
+                    covered |= u_bit | free
+                    matched[u] = matched[x] = eid
+                    work = (work | neighbor_mask[x]) & ~covered
+            return covered
 
-    covered = work = 0
-    for eid in forced:
-        u, v = g.edges[eid]
-        covered |= 1 << u | 1 << v
-        work |= neighbor_mask[u] | neighbor_mask[v]
-        matched[u] = matched[v] = eid
-    start = propagate(covered, work)
-    if start is not None:
-        yield from extend(start)
+        def extend(covered: int) -> Iterator[PerfectMatching]:
+            if covered == full:
+                yield frozenset(matched)
+                return
+            lowest = ~covered & (covered + 1)
+            v = lowest.bit_length() - 1
+            covered |= lowest
+            for w_bit, w, eid, work in branches[v]:
+                if covered & w_bit:
+                    continue
+                now = propagate(covered | w_bit, work)
+                if now is not None:
+                    matched[v] = matched[w] = eid
+                    yield from extend(now)
+
+        covered = work = 0
+        for eid in forced:
+            u, v = g.edges[eid]
+            covered |= 1 << u | 1 << v
+            work |= neighbor_mask[u] | neighbor_mask[v]
+            matched[u] = matched[v] = eid
+        start = propagate(covered, work)
+        if start is not None:
+            yield from extend(start)
+
+    return search
+
+
+def _found(leaves: Iterator[PerfectMatching]) -> bool:
+    """The search yields a first leaf."""
+    return next(leaves, None) is not None
 
 
 def enumerate_perfect_matchings(g: CubicGraph) -> tuple[PerfectMatching, ...]:
     """All perfect matchings as edge-id sets, in deterministic order."""
-    return tuple(_perfect_matchings(g))
-
-
-def _exists_with(g: CubicGraph, *forced: int) -> bool:
-    """Some perfect matching contains these pairwise disjoint edges."""
-    return next(_perfect_matchings(g, forced), None) is not None
+    return tuple(_matching_search(g)())
 
 
 def exists_perfect_matching(g: CubicGraph) -> bool:
-    return _exists_with(g)
+    return _found(_matching_search(g)())
 
 
 def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
@@ -365,7 +373,7 @@ def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
     """
     found = False
     spectrum = _spectrum_walk(g)
-    for matching in _perfect_matchings(g):
+    for matching in _matching_search(g)():
         found = True
         lengths = spectrum(matching)
         if any(length != 5 for length in lengths):
@@ -392,7 +400,7 @@ def _other_edges(g: CubicGraph, eid: int) -> list[int]:
 def exists_pm_with_edge(g: CubicGraph, eid: int) -> bool:
     """Some perfect matching contains the edge with this id."""
     _check_edge_ids(g, eid)
-    return _exists_with(g, eid)
+    return _found(_matching_search(g)(eid))
 
 
 def exists_pm_avoiding_edge(g: CubicGraph, eid: int) -> bool:
@@ -402,7 +410,8 @@ def exists_pm_avoiding_edge(g: CubicGraph, eid: int) -> bool:
     this asks whether one of the other two edges at u is in a matching.
     """
     _check_edge_ids(g, eid)
-    return any(_exists_with(g, other) for other in _other_edges(g, eid))
+    search = _matching_search(g)
+    return any(_found(search(other)) for other in _other_edges(g, eid))
 
 
 def exists_pm_with_edge_pair(g: CubicGraph, eid: int, fid: int) -> bool:
@@ -412,7 +421,7 @@ def exists_pm_with_edge_pair(g: CubicGraph, eid: int, fid: int) -> bool:
         raise ValueError("the two edges must be distinct")
     if set(g.edges[eid]) & set(g.edges[fid]):
         raise ValueError("the two edges must not share an endpoint")
-    return _exists_with(g, eid, fid)
+    return _found(_matching_search(g)(eid, fid))
 
 
 def exists_two_factor_through_edges(g: CubicGraph, eid: int, fid: int) -> bool:
@@ -426,12 +435,13 @@ def exists_two_factor_through_edges(g: CubicGraph, eid: int, fid: int) -> bool:
     _check_edge_ids(g, eid, fid)
     if eid == fid:
         raise ValueError("the two edges must be distinct")
+    search = _matching_search(g)
     for e in _other_edges(g, eid):
         for f in _other_edges(g, fid):
             if e == f:
-                if _exists_with(g, e):
+                if _found(search(e)):
                     return True
-            elif not set(g.edges[e]) & set(g.edges[f]) and _exists_with(g, e, f):
+            elif not set(g.edges[e]) & set(g.edges[f]) and _found(search(e, f)):
                 return True
     return False
 
@@ -441,4 +451,4 @@ def exists_triangle_free_two_factor(g: CubicGraph) -> bool:
     if g.has_parallel_edges:
         raise MultigraphError("triangle-free 2-factor check is defined for simple graphs")
     spectrum = _spectrum_walk(g)
-    return any(spectrum(m)[0] >= 4 for m in _perfect_matchings(g))
+    return any(spectrum(m)[0] >= 4 for m in _matching_search(g)())

@@ -7,6 +7,11 @@ when the all-5-cycle premise fails. When the premise holds, the claim
 chain C1..C8 plus the final neighborhood check must all hold; the scan
 in :mod:`cubicscan.enumeration` asserts exactly that.
 
+No claim enumerates perfect matchings. C8 sets up the matching search
+once per graph and asks it a first-leaf query for each 3-edge path that
+no matching found so far answers, so the cost of ``verify_claims`` does
+not follow the matching count.
+
 Claim ids:
   C1  no cycle of length two (no parallel edge pair)
   C2  no two triangles sharing an edge
@@ -29,6 +34,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import connectivity, matching
 from .errors import DisconnectedError, DuplicateGraphError, PreconditionError
 from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
+from .matching import _matched_edge_ids, _matching_search
 
 __all__ = [
     "CLAIM_IDS",
@@ -106,15 +112,27 @@ def _count_five_cycles_through_path(nbr: list[set[int]], u: int, v: int, w: int)
 
 
 def _check_c8(g: CubicGraph) -> ClaimResult:
-    pair_sets = [
-        frozenset(g.edges[eid] for eid in m)
-        for m in matching.enumerate_perfect_matchings(g)
-    ]
+    """The first 3-edge path u-v-w-x with no perfect matching through
+    uv and wx, by first-leaf queries on one matching search.
+
+    Parallel edges swap in and out of a perfect matching, so the first
+    id of a doubled uv or wx stands for both. A found matching M answers
+    more than its own query: each edge ab, a < b, joins the M-edges at a
+    and b, so that pair of ids extends. A path whose pair is kept needs
+    no query, so every query that succeeds finds a new matching, and C8
+    never asks more of them than the graph has perfect matchings."""
+    search = _matching_search(g)
+    extends: set[tuple[int, int]] = set()
     for u, v, w, x in _three_edge_paths(g):
-        first = (min(u, v), max(u, v))
-        second = (min(w, x), max(w, x))
-        if not any(first in pairs and second in pairs for pairs in pair_sets):
+        e = next(eid for y, eid in g.adjacency[u] if y == v)
+        f = next(eid for y, eid in g.adjacency[w] if y == x)
+        if (e, f) in extends:
+            continue
+        found = next(search(e, f), None)
+        if found is None:
             return ClaimResult(False, {"path": [u, v, w, x]})
+        at = _matched_edge_ids(g, found)
+        extends.update((at[a], at[b]) for a, b in g.edges)
     return ClaimResult(True)
 
 

@@ -19,9 +19,18 @@ The small named graphs exercised throughout the suite:
   three odd components, so it has no perfect matching
 * small_graphs: every generated connected cubic multigraph with
   n <= 10 (simple graphs included), then bridged8 and bridged10
+* doubled_edge_ring: three doubled edges joined in a ring by single
+  edges (n = 6); once one of a vertex's neighbours is covered, its last
+  uncovered neighbour can be the one joined by the doubled edge
+* random_multigraphs: 40 seeded pairing-model multigraphs, eight each
+  for n = 12..20; they may be disconnected or lack a perfect matching
+* random_simple_graphs: 20 seeded pairing-model simple graphs with
+  n = 30, all of them connected
 """
 
 from __future__ import annotations
+
+import random
 
 import networkx as nx
 import pytest
@@ -127,3 +136,37 @@ def small_graphs(bridged8, bridged10) -> list[CubicGraph]:
 def two_k4s_disconnected_edges() -> list[tuple[int, int]]:
     block = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     return block + [(u + 4, v + 4) for u, v in block]
+
+
+@pytest.fixture(scope="session")
+def doubled_edge_ring() -> CubicGraph:
+    doubled = [(0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (4, 5)]
+    return from_edge_list(6, doubled + [(1, 2), (3, 4), (5, 0)])
+
+
+def _pairing_multigraph(rng: random.Random, n: int) -> CubicGraph:
+    """A loopless cubic multigraph from the pairing model; it may be
+    disconnected or have no perfect matching."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = list(zip(points[0::2], points[1::2]))
+        if all(u != v for u, v in edges):
+            return from_edge_list(n, edges)
+
+
+@pytest.fixture(scope="session")
+def random_multigraphs() -> list[CubicGraph]:
+    rng = random.Random(12)
+    return [_pairing_multigraph(rng, n) for n in range(12, 21, 2) for _ in range(8)]
+
+
+@pytest.fixture(scope="session")
+def random_simple_graphs() -> list[CubicGraph]:
+    rng = random.Random(30)
+    graphs = []
+    while len(graphs) < 20:
+        g = _pairing_multigraph(rng, 30)
+        if not g.has_parallel_edges:
+            graphs.append(g)
+    return graphs

@@ -15,7 +15,9 @@ second prunes prefixes with a tie frontier that keeps one relabeling per
 permutation of new neighbours instead of cells; and the matching oracle
 is the plain depth-first search, with no dead-end cut. The premise
 oracles read every spectrum off the cycles that
-``complementary_two_factor`` builds, not off the length-only walk.
+``complementary_two_factor`` builds, not off the length-only walk, and
+the C8 oracle filters a table of every perfect matching instead of
+asking the matching search about each path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from cubicscan.graphs import CubicGraph
-from cubicscan.matching import complementary_two_factor, cycle_spectrum
+from cubicscan.matching import (
+    complementary_two_factor,
+    cycle_spectrum,
+    enumerate_perfect_matchings,
+)
+from cubicscan.verifier import ClaimResult, _three_edge_paths
 
 
 def labeled_cubic_edge_lists(n: int, allow_multi: bool) -> set[tuple[tuple[int, int], ...]]:
@@ -420,6 +427,21 @@ def triangle_free_two_factor_by_two_factors(g: CubicGraph) -> bool:
         min(len(cycle) for cycle in complementary_two_factor(g, m).cycles) >= 4
         for m in unpruned_perfect_matchings(g)
     )
+
+
+def c8_by_enumeration(g: CubicGraph) -> ClaimResult:
+    """Claim C8 by filtering a table of every perfect matching, as vertex
+    pairs, once per 3-edge path in the verifier's path order."""
+    pair_sets = [
+        frozenset(g.edges[eid] for eid in m)
+        for m in enumerate_perfect_matchings(g)
+    ]
+    for u, v, w, x in _three_edge_paths(g):
+        first = (min(u, v), max(u, v))
+        second = (min(w, x), max(w, x))
+        if not any(first in pairs and second in pairs for pairs in pair_sets):
+            return ClaimResult(False, {"path": [u, v, w, x]})
+    return ClaimResult(True)
 
 
 def removal_disconnects(g: CubicGraph, removed: set[int]) -> bool:

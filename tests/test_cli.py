@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,9 +13,8 @@ from cubicscan.cli import main
 from cubicscan.formats import emit_edgelist, emit_sparse6
 from cubicscan.graphs import from_edge_list, relabeled
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
 def _write(tmp_path, name, data):
@@ -117,6 +118,29 @@ def test_verify_30_vertex_prism_exits_zero(tmp_path, capsys, prism15):
     assert code == 0
     assert re.search(r"C6\s+holds", out)
     assert re.search(r"C7\s+holds", out)
+
+
+def test_verify_100_vertex_prism_exits_zero(tmp_path, capsys, prism50):
+    # about 2.8e10 perfect matchings: C8 must not enumerate them
+    path = _write(tmp_path, "prism50.s6", emit_sparse6(prism50) + b"\n")
+    code = main(["verify", "-i", path])
+    out = capsys.readouterr().out
+    assert code == 0
+    for claim in ("C6", "C7", "C8"):
+        assert re.search(rf"{claim}\s+holds", out)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # the tracer replaces module attributes by name, so a renamed one
+    # would break every traced benchmark run
+    script = (
+        f"import sys; sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]; "
+        "from tracing import Tracer; Tracer().install()"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_verify_bridged_flags_c6(tmp_path, capsys, bridged8):

@@ -1,5 +1,7 @@
 """Generator completeness, bridgeless filtering, and the scan."""
 
+import tracemalloc
+
 import pytest
 
 from cubicscan.enumeration import (
@@ -118,6 +120,20 @@ def test_scan_to_ten_finds_exactly_petersen():
     assert report.positives[0].is_petersen
     expected = canonical_form(petersen()).certificate.decode("ascii")
     assert report.positives[0].certificate == expected
+
+
+def test_scan_streams_the_generated_graphs():
+    # held as a list, the 509 graphs at n = 14 and their cached adjacency
+    # lists peak above 3 MB; streamed, only one graph is alive at a time
+    tracemalloc.start()
+    try:
+        report = scan_theorem(14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {n: stats.generated for n, stats in report.per_n.items()} == SIMPLE_COUNTS
+    assert [p.n for p in report.positives] == [10]
+    assert peak < 1.5e6
 
 
 def test_scan_multigraphs_to_six():

@@ -157,3 +157,9 @@ def test_iter_graph_lines_skips_blanks(k4, prism):
     assert len(parsed) == 2
     assert is_isomorphic(parsed[0], k4)
     assert is_isomorphic(parsed[1], prism)
+
+
+def test_iter_graph_lines_names_the_supported_formats(k4):
+    for fmt in ("edgelist", "dot"):
+        with pytest.raises(FormatError, match=f"'{fmt}': use one of auto, graph6, sparse6"):
+            list(iter_graph_lines([emit_sparse6(k4)], fmt))

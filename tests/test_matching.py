@@ -1,13 +1,11 @@
 """Perfect matchings, 2-factors, spectra, and the matching predicates."""
 
-import random
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 
 from cubicscan.enumeration import filter_bridgeless, generate_cubic_graphs
 from cubicscan.errors import MatchingError, MultigraphError
-from cubicscan.graphs import from_edge_list
 from cubicscan.matching import (
     all_two_factors_are_five_cycles,
     complementary_two_factor,
@@ -23,6 +21,7 @@ from cubicscan.matching import (
     tutte_condition,
     two_factor_spectra,
 )
+from cubicscan.matching import _matching_search
 from oracles import (
     brute_perfect_matchings,
     premise_witness_by_two_factors,
@@ -48,44 +47,15 @@ def test_pm_enumeration_matches_subset_brute_force(petersen_graph, prism, bridge
         assert len(enumerate_perfect_matchings(g)) == len(brute_perfect_matchings(g))
 
 
-def _pairing_multigraph(rng: random.Random, n: int):
-    """A loopless cubic multigraph from the pairing model; it may be
-    disconnected or have no perfect matching."""
-    while True:
-        points = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(points)
-        edges = list(zip(points[0::2], points[1::2]))
-        if all(u != v for u, v in edges):
-            return from_edge_list(n, edges)
-
-
-def _random_multigraphs() -> list:
-    """40 seeded pairing-model multigraphs, eight each for n = 12..20."""
-    rng = random.Random(12)
-    return [_pairing_multigraph(rng, n) for n in range(12, 21, 2) for _ in range(8)]
-
-
-def _random_simple_graphs() -> list:
-    """20 seeded pairing-model simple graphs with n = 30."""
-    rng = random.Random(30)
-    graphs = []
-    while len(graphs) < 20:
-        g = _pairing_multigraph(rng, 30)
-        if not g.has_parallel_edges:
-            graphs.append(g)
-    return graphs
-
-
-def _doubled_edge_ring():
-    """Three doubled edges joined in a ring by single edges (n = 6). Once
-    one of a vertex's neighbours is covered, its last uncovered neighbour
-    can be the one joined by the doubled edge."""
-    doubled = [(0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (4, 5)]
-    return from_edge_list(6, doubled + [(1, 2), (3, 4), (5, 0)])
-
-
 def test_pruned_search_yields_the_unpruned_order(
-    small_graphs, petersen_graph, triple_edge, prisms, no_perfect_matching10
+    small_graphs,
+    petersen_graph,
+    triple_edge,
+    prisms,
+    no_perfect_matching10,
+    doubled_edge_ring,
+    random_multigraphs,
+    random_simple_graphs,
 ):
     graphs = [
         *small_graphs,
@@ -93,13 +63,22 @@ def test_pruned_search_yields_the_unpruned_order(
         triple_edge,
         *prisms.values(),
         no_perfect_matching10,
-        _doubled_edge_ring(),
+        doubled_edge_ring,
     ]
-    for g in graphs + _random_multigraphs() + _random_simple_graphs():
+    for g in graphs + random_multigraphs + random_simple_graphs:
         assert list(enumerate_perfect_matchings(g)) == list(unpruned_perfect_matchings(g))
     assert enumerate_perfect_matchings(no_perfect_matching10) == ()
     # the three single edges, or one edge of each doubled pair
-    assert len(enumerate_perfect_matchings(_doubled_edge_ring())) == 9
+    assert len(enumerate_perfect_matchings(doubled_edge_ring)) == 9
+
+
+def test_searches_from_one_setup_run_interleaved(petersen_graph, prisms, doubled_edge_ring):
+    for g in (petersen_graph, prisms[6], prisms[7], doubled_edge_ring):
+        for eid in range(len(g.edges)):
+            search = _matching_search(g)
+            interleaved = list(zip_longest(search(), search(eid)))
+            assert [a for a, _ in interleaved] == list(_matching_search(g)())
+            assert [b for _, b in interleaved if b is not None] == list(_matching_search(g)(eid))
 
 
 def test_prism_matching_counts_follow_the_lucas_numbers(prisms):
@@ -257,10 +236,10 @@ def test_two_factor_spectra_reject_non_matching_as_the_cycle_walk_does(
 
 
 def test_two_factor_spectra_equal_the_cycle_walk_in_order(
-    small_graphs, petersen_graph, prisms, triple_edge
+    small_graphs, petersen_graph, prisms, triple_edge, random_multigraphs
 ):
     graphs = [*small_graphs, petersen_graph, *prisms.values(), triple_edge]
-    for g in graphs + _random_multigraphs():
+    for g in graphs + random_multigraphs:
         matchings = enumerate_perfect_matchings(g)
         assert two_factor_spectra(g, matchings) == tuple(
             cycle_spectrum(complementary_two_factor(g, m)) for m in matchings
@@ -273,10 +252,10 @@ def test_two_factor_spectra_equal_the_cycle_walk_in_order(
 
 
 def test_premise_answers_equal_the_two_factor_oracles(
-    small_graphs, petersen_graph, prisms, triple_edge, no_perfect_matching10
+    small_graphs, petersen_graph, prisms, triple_edge, no_perfect_matching10, random_multigraphs
 ):
     graphs = [*small_graphs, petersen_graph, *prisms.values(), triple_edge]
-    for g in graphs + [no_perfect_matching10] + _random_multigraphs():
+    for g in graphs + [no_perfect_matching10] + random_multigraphs:
         assert five_cycle_premise_witness(g) == premise_witness_by_two_factors(g)
         if not g.has_parallel_edges:
             assert exists_triangle_free_two_factor(g) == triangle_free_two_factor_by_two_factors(g)

@@ -14,7 +14,7 @@ from cubicscan.verifier import (
     verify_neighborhood_structure,
     verify_petersen_uniqueness,
 )
-from oracles import brute_edge_connectivity, removal_disconnects
+from oracles import brute_edge_connectivity, c8_by_enumeration, removal_disconnects
 
 
 def test_petersen_report_all_claims_hold(petersen_graph):
@@ -73,6 +73,18 @@ def test_c6_witness_is_the_first_disconnecting_subset(small_graphs):
         )
         assert not c6.holds
         assert c6.witness == {"edge_connectivity": lam, "cut": first}
+
+
+def test_c8_equals_the_enumeration_oracle(
+    small_graphs, prisms, random_simple_graphs, doubled_edge_ring
+):
+    graphs = [*small_graphs, *prisms.values(), *random_simple_graphs, doubled_edge_ring]
+    failing = 0
+    for g in graphs:
+        expected = c8_by_enumeration(g)
+        assert verify_claims(g).claim_results["C8"] == expected
+        failing += not expected.holds
+    assert failing  # some witness is compared, not only verdicts
 
 
 def test_triple_edge_report(triple_edge):
