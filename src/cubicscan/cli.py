@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from . import enumeration, matching, verifier
 from .connectivity import bridges, edge_connectivity, girth
@@ -53,14 +53,14 @@ def _load_single_graph(args: argparse.Namespace) -> CubicGraph:
     return _PARSERS[args.format](_read_input(args.input))
 
 
-def _emit_json(payload: dict, out: TextIO) -> None:
-    json.dump(payload, out, sort_keys=True, indent=2)
-    out.write("\n")
+def _emit_json(payload: dict) -> None:
+    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
-def cmd_analyze(args: argparse.Namespace, out: TextIO | None = None) -> int:
-    out = out or sys.stdout
+def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_single_graph(args)
+    connectivity = edge_connectivity(g)  # rejects a disconnected graph before enumeration
     matchings = matching.enumerate_perfect_matchings(g)
     spectra = Counter(matching.two_factor_spectra(g, matchings))
     payload = {
@@ -68,7 +68,7 @@ def cmd_analyze(args: argparse.Namespace, out: TextIO | None = None) -> int:
         "n": g.n,
         "edge_count": len(g.edges),
         "girth": girth(g),
-        "edge_connectivity": edge_connectivity(g),
+        "edge_connectivity": connectivity,
         "bridges": bridges(g),
         "perfect_matching_count": len(matchings),
         "two_factor_spectra": [
@@ -79,8 +79,9 @@ def cmd_analyze(args: argparse.Namespace, out: TextIO | None = None) -> int:
         and all(length == 5 for spectrum in spectra for length in spectrum),
     }
     if args.output == "json":
-        _emit_json(payload, out)
+        _emit_json(payload)
     else:
+        out = sys.stdout
         out.write(f"vertices            {payload['n']}\n")
         out.write(f"edges               {payload['edge_count']}\n")
         out.write(f"girth               {payload['girth']}\n")
@@ -95,14 +96,14 @@ def cmd_analyze(args: argparse.Namespace, out: TextIO | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, out: TextIO | None = None) -> int:
-    out = out or sys.stdout
+def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_single_graph(args)
     report = verifier.verify_claims(g)
     payload = {"report": "verify", **report.to_json_dict()}
     if args.output == "json":
-        _emit_json(payload, out)
+        _emit_json(payload)
     else:
+        out = sys.stdout
         out.write(f"certificate   {report.graph_certificate}\n")
         out.write(f"premise       {'holds' if report.premise_holds else 'fails'}\n")
         if report.premise_witness:
@@ -129,13 +130,12 @@ def _scan_exit_code(report: enumeration.ScanReport, from_corpus: bool) -> int:
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
-def _render_scan(
-    report: enumeration.ScanReport, args: argparse.Namespace, out: TextIO
-) -> None:
+def _render_scan(report: enumeration.ScanReport, args: argparse.Namespace) -> None:
     payload = {"report": "scan", **report.to_json_dict()}
     if args.output == "json":
-        _emit_json(payload, out)
+        _emit_json(payload)
         return
+    out = sys.stdout
     out.write("   n  generated  bridgeless  positives\n")
     for n in report.n_range:
         stats = report.per_n[n]
@@ -149,30 +149,27 @@ def _render_scan(
     out.write(f"elapsed {report.elapsed_seconds:.2f}s\n")
 
 
-def cmd_scan(args: argparse.Namespace, out: TextIO | None = None) -> int:
-    out = out or sys.stdout
+def cmd_scan(args: argparse.Namespace) -> int:
     if args.input is not None:
-        return cmd_scan_corpus(args, out)
+        return cmd_scan_corpus(args)
     if args.n_max is None:
         raise CubicGraphError("scan requires --n-max")
     report = enumeration.scan_theorem(args.n_max, allow_multi=args.multi)
-    _render_scan(report, args, out)
+    _render_scan(report, args)
     return _scan_exit_code(report, from_corpus=False)
 
 
-def cmd_scan_corpus(args: argparse.Namespace, out: TextIO | None = None) -> int:
-    out = out or sys.stdout
+def cmd_scan_corpus(args: argparse.Namespace) -> int:
     lines = _read_input(args.input).splitlines()
     graphs = list(iter_graph_lines(lines, args.format))
     report = enumeration.scan_corpus(graphs)
-    _render_scan(report, args, out)
+    _render_scan(report, args)
     return _scan_exit_code(report, from_corpus=True)
 
 
-def cmd_generate(args: argparse.Namespace, out: TextIO | None = None) -> int:
-    out = out or sys.stdout
+def cmd_generate(args: argparse.Namespace) -> int:
     for g in enumeration.generate_cubic_graphs(args.n, allow_multi=args.multi):
-        out.write(emit_sparse6(g).decode("ascii") + "\n")
+        sys.stdout.write(emit_sparse6(g).decode("ascii") + "\n")
     return EXIT_OK
 
 

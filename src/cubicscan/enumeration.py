@@ -136,45 +136,37 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
                     filed.append(key)
         return True
 
-    def fill(t: int, next_new: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if t == n:
-            yield tuple((u, v) for u, blk in enumerate(blocks) for v in blk)
+    def fill(t: int, minimum: int, frontier: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        """Add vertex t's next neighbour, at least minimum, until t is
+        complete, then go on to t + 1; frontier is the smallest unused label."""
+        if len(adj[t]) == 3:
+            blocks.append(tuple(w for w in adj[t] if w > t))
+            ranked[t] = _ranked(adj[t])
+            filed: list[int] = []
+            if extend_ties(t, filed):
+                if t + 1 == n:
+                    yield tuple((u, v) for u, blk in enumerate(blocks) for v in blk)
+                elif t + 1 < frontier:  # else vertex t + 1 is unreached: disconnected
+                    yield from fill(t + 1, t + 2, frontier)
+            for key in filed:
+                waiting[key].pop()
+            blocks.pop()
             return
-        if t > 0 and t >= next_new:
-            return  # vertex t untouched by smaller labels: disconnected
-        need = 3 - len(adj[t])
-        chosen: list[int] = []
+        for w in range(minimum, min(frontier, n - 1) + 1):
+            if w < frontier and len(adj[w]) >= 3:
+                continue
+            multiplicity = adj[t].count(w)
+            if multiplicity >= (1 if not allow_multi else 3):
+                continue
+            if multiplicity == 2 and n != 2:
+                continue  # a triple edge saturates both endpoints
+            adj[w].append(t)
+            adj[t].append(w)
+            yield from fill(t, w, frontier + 1 if w == frontier else frontier)
+            adj[t].pop()
+            adj[w].pop()
 
-        def choose(minimum: int, left: int, frontier: int) -> Iterator[tuple[tuple[int, int], ...]]:
-            if left == 0:
-                blocks.append(tuple(chosen))
-                adj[t].extend(chosen)
-                ranked[t] = _ranked(adj[t])
-                filed: list[int] = []
-                if extend_ties(t, filed):
-                    yield from fill(t + 1, frontier)
-                for key in filed:
-                    waiting[key].pop()
-                del adj[t][3 - need:]
-                blocks.pop()
-                return
-            for w in range(max(minimum, t + 1), min(frontier, n - 1) + 1):
-                if w < frontier and len(adj[w]) >= 3:
-                    continue
-                multiplicity = chosen.count(w)
-                if multiplicity >= (1 if not allow_multi else 3):
-                    continue
-                if multiplicity == 2 and n != 2:
-                    continue  # a triple edge saturates both endpoints
-                adj[w].append(t)
-                chosen.append(w)
-                yield from choose(w, left - 1, frontier + 1 if w == frontier else frontier)
-                chosen.pop()
-                adj[w].pop()
-
-        yield from choose(t + 1, need, next_new if t > 0 else 1)
-
-    yield from fill(0, 0)
+    yield from fill(0, 1, 1)
 
 
 def generate_cubic_graphs(

@@ -8,6 +8,12 @@ accepted for interop with existing datasets. Parsed graphs must satisfy
 the cubic invariants, so a well-formed encoding of a non-cubic graph is
 rejected with a construction error.
 
+Both readers and the writer share one bit layer: ``_check_body``
+rejects bytes outside 63..126, ``_bits`` turns a body into a string of
+'0'/'1' characters, fields are read with ``int(bits[i : i + k], 2)``
+and written with ``f"{x:0{k}b}"``, and ``_pack`` turns the string back
+into bytes. ``_width`` gives the sparse6 label width.
+
 The plain-text edge list is: first line ``n m``, then m lines ``u v``.
 """
 
@@ -36,6 +42,26 @@ def _as_bytes(text: bytes | str) -> bytes:
     return text.encode("ascii") if isinstance(text, str) else text
 
 
+def _bits(body: bytes) -> str:
+    """The body's 6-bit groups as one string of '0'/'1', big-endian."""
+    return "".join(f"{b - 63:06b}" for b in body)
+
+
+def _pack(bits: str) -> bytes:
+    """Inverse of ``_bits`` for a bit string whose length is a multiple of 6."""
+    return bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+
+
+def _check_body(body: bytes, fmt: str) -> None:
+    if any(b < 63 or b > 126 for b in body):
+        raise FormatError(f"{fmt} body contains bytes outside 63..126")
+
+
+def _width(n: int) -> int:
+    """sparse6 field width k: the bits needed for a label below n, at least 1."""
+    return max(1, (n - 1).bit_length())
+
+
 def _decode_size(data: bytes) -> tuple[int, bytes]:
     """Read the vertex-count field N(n), return (n, remaining bytes)."""
     if not data:
@@ -48,17 +74,16 @@ def _decode_size(data: bytes) -> tuple[int, bytes]:
         raise FormatError("vertex counts above 258047 are not supported")
     if len(data) < 4:
         raise FormatError("extended size field is truncated: '~' must be followed by 3 size bytes")
-    chunks = [b - 63 for b in data[1:4]]
-    if any(c < 0 or c > 63 for c in chunks):
+    if any(b < 63 or b > 126 for b in data[1:4]):
         raise FormatError("malformed extended size field")
-    return (chunks[0] << 12) | (chunks[1] << 6) | chunks[2], data[4:]
+    return int(_bits(data[1:4]), 2), data[4:]
 
 
 def _encode_size(n: int) -> bytes:
     if n <= 62:
         return bytes([n + 63])
     if n <= 258047:
-        return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+        return b"~" + _pack(f"{n:018b}")
     raise FormatError(f"cannot encode n={n}")
 
 
@@ -68,41 +93,22 @@ def parse_sparse6(text: bytes | str) -> CubicGraph:
     Raises FormatError for malformed input, LoopError if the encoding
     contains a loop, and DegreeError if the graph is not cubic.
     """
-    data = _as_bytes(text).strip()
-    if data.startswith(_SPARSE6_HEADER):
-        data = data[len(_SPARSE6_HEADER):]
+    data = _as_bytes(text).strip().removeprefix(_SPARSE6_HEADER)
     if not data.startswith(b":"):
         raise FormatError("sparse6 line must start with ':'")
     n, body = _decode_size(data[1:])
     if n < 1:
         raise FormatError("sparse6 encodes an empty vertex set")
-    if any(b < 63 or b > 126 for b in body):
-        raise FormatError("sparse6 body contains bytes outside 63..126")
-
-    k = 1
-    while (1 << k) < n:
-        k += 1
-
-    bits: list[int] = []
-    for byte in body:
-        value = byte - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-
-    pairs = []
-    pos = 0
-    while pos + 1 + k <= len(bits):
-        b = bits[pos]
-        x = 0
-        for bit in bits[pos + 1 : pos + 1 + k]:
-            x = (x << 1) | bit
-        pos += 1 + k
-        pairs.append((b, x))
-
+    _check_body(body, "sparse6")
+    k = _width(n)
+    bits = _bits(body)
     edges: list[tuple[int, int]] = []
     v = 0
-    for b, x in pairs:
-        if b:
+    # each group is one bit b and a k-bit label x; a trailing partial group is padding
+    for i in range(0, len(bits) - k, k + 1):
+        if bits[i] == "1":
             v += 1
+        x = int(bits[i + 1 : i + 1 + k], 2)
         if x >= n or v >= n:
             break  # padding
         if x > v:
@@ -116,69 +122,37 @@ def parse_sparse6(text: bytes | str) -> CubicGraph:
 
 def emit_sparse6(g: CubicGraph) -> bytes:
     """Canonical sparse6 byte form of the graph as labeled (no header)."""
-    n = g.n
-    k = 1
-    while (1 << k) < n:
-        k += 1
-
-    def put(value: int, width: int) -> None:
-        bits.extend((value >> shift) & 1 for shift in range(width - 1, -1, -1))
-
-    bits: list[int] = []
+    k = _width(g.n)
+    groups: list[str] = []
     v = 0
     for hi, lo in sorted((max(u, w), min(u, w)) for u, w in g.edges):
-        if hi == v:
-            bits.append(0)
-            put(lo, k)
-        elif hi == v + 1:
-            v += 1
-            bits.append(1)
-            put(lo, k)
-        else:
+        if hi > v + 1:
+            groups.append(f"1{hi:0{k}b}")  # b = 1, then x = hi > v sets v to hi
             v = hi
-            bits.append(1)
-            put(hi, k)
-            bits.append(0)
-            put(lo, k)
+        groups.append(f"{hi - v}{lo:0{k}b}")  # the edge lo-hi; b = 1 steps v to v + 1
+        v = hi
+    bits = "".join(groups)
     # pad with 1s; the format's extra 0 for n = 2^k is only due while
     # v < n - 1, and the last edge of a cubic graph ends at vertex n - 1
-    bits.extend([1] * ((-len(bits)) % 6))
-
-    body = bytearray()
-    for i in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[i : i + 6]:
-            value = (value << 1) | bit
-        body.append(value + 63)
-    return b":" + _encode_size(n) + bytes(body)
+    bits += "1" * (-len(bits) % 6)
+    return b":" + _encode_size(g.n) + _pack(bits)
 
 
 def parse_graph6(text: bytes | str) -> CubicGraph:
     """Decode one graph6 line (simple graphs); reject non-cubic graphs."""
-    data = _as_bytes(text).strip()
-    if data.startswith(_GRAPH6_HEADER):
-        data = data[len(_GRAPH6_HEADER):]
+    data = _as_bytes(text).strip().removeprefix(_GRAPH6_HEADER)
     if data.startswith(b":"):
         raise FormatError("input is sparse6, not graph6")
     n, body = _decode_size(data)
-    if any(b < 63 or b > 126 for b in body):
-        raise FormatError("graph6 body contains bytes outside 63..126")
+    _check_body(body, "graph6")
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise FormatError(
             f"graph6 body has {len(body)} bytes, expected {(need + 5) // 6} for n={n}"
         )
-    bits: list[int] = []
-    for byte in body:
-        value = byte - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    # the upper triangle column by column: bit v(v-1)/2 + u is the pair u < v
+    bits = _bits(body)
+    edges = [(u, v) for v in range(1, n) for u in range(v) if bits[v * (v - 1) // 2 + u] == "1"]
     return from_edge_list(n, edges)
 
 

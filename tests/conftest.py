@@ -107,6 +107,11 @@ def prism15() -> CubicGraph:
 
 
 @pytest.fixture(scope="session")
+def prism32() -> CubicGraph:
+    return _k_prism(32)
+
+
+@pytest.fixture(scope="session")
 def prism50() -> CubicGraph:
     return _k_prism(50)
 

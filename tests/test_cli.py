@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -91,6 +92,23 @@ def test_analyze_rejects_non_cubic_with_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err
+
+
+def test_analyze_rejects_disconnected_graph_before_enumerating(tmp_path, capsys):
+    # two disjoint 40-vertex prisms: enumerating their perfect matchings first took minutes
+    k = 20
+    prism = [(i, i + k) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
+    prism += [(i + k, (i + 1) % k + k) for i in range(k)]
+    twins = from_edge_list(4 * k, prism + [(u + 2 * k, v + 2 * k) for u, v in prism])
+    path = _write(tmp_path, "twins.s6", emit_sparse6(twins) + b"\n")
+    start = time.perf_counter()
+    code = main(["analyze", "--input", path])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "cubicscan: error: edge connectivity requires a connected graph\n"
+    assert captured.out == ""
+    assert elapsed < 1.0
 
 
 def test_verify_petersen(tmp_path, capsys, petersen_graph):

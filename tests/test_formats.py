@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.errors import DegreeError, FormatError, LoopError
 from cubicscan.formats import (
     emit_edgelist,
@@ -163,3 +164,65 @@ def test_iter_graph_lines_names_the_supported_formats(k4):
     for fmt in ("edgelist", "dot"):
         with pytest.raises(FormatError, match=f"'{fmt}': use one of auto, graph6, sparse6"):
             list(iter_graph_lines([emit_sparse6(k4)], fmt))
+
+
+def test_codec_matches_networkx_on_every_generated_graph(prism32, prism50):
+    # the prisms have n = 64 and n = 100: the extended size field and widths 6 and 7
+    simple = [g for n in range(4, 13, 2) for g in generate_cubic_graphs(n)]
+    multi = [g for n in range(2, 11, 2) for g in generate_cubic_graphs(n, allow_multi=True)]
+    for g in simple + multi + [prism32, prism50]:
+        nxg = nx.MultiGraph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges)
+        reference = nx.to_sparse6_bytes(nxg, header=False).strip()
+        assert emit_sparse6(g) == reference, g.edges
+        assert sorted(parse_sparse6(reference).edges) == sorted(g.edges)
+        if not g.has_parallel_edges:
+            g6 = nx.to_graph6_bytes(nx.Graph(nxg), header=False).strip()
+            assert sorted(parse_graph6(g6).edges) == sorted(g.edges)
+
+
+@pytest.mark.parametrize(
+    "parser, data, error, message",
+    [
+        (parse_graph6, b"", FormatError, "empty graph encoding"),
+        (parse_sparse6, b":", FormatError, "empty graph encoding"),
+        (parse_graph6, b">>graph6<<", FormatError, "empty graph encoding"),
+        (parse_graph6, b"0", FormatError, "size byte 48 is outside 63..126"),
+        (parse_sparse6, b":\x7f", FormatError, "size byte 127 is outside 63..126"),
+        (parse_graph6, b"~~??????", FormatError, "vertex counts above 258047 are not supported"),
+        (parse_sparse6, b":~~", FormatError, "vertex counts above 258047 are not supported"),
+        (
+            parse_graph6,
+            b"~?",
+            FormatError,
+            "extended size field is truncated: '~' must be followed by 3 size bytes",
+        ),
+        (
+            parse_sparse6,
+            b":~??",
+            FormatError,
+            "extended size field is truncated: '~' must be followed by 3 size bytes",
+        ),
+        (parse_graph6, b"~?0?", FormatError, "malformed extended size field"),
+        (parse_sparse6, b":~??\x7f", FormatError, "malformed extended size field"),
+        (parse_sparse6, b"A_", FormatError, "sparse6 line must start with ':'"),
+        (parse_sparse6, b">>sparse6<<A_", FormatError, "sparse6 line must start with ':'"),
+        (parse_sparse6, b":?", FormatError, "sparse6 encodes an empty vertex set"),
+        (parse_sparse6, b":A0", FormatError, "sparse6 body contains bytes outside 63..126"),
+        (parse_sparse6, b":A_\x7f", FormatError, "sparse6 body contains bytes outside 63..126"),
+        (parse_sparse6, b":A?", LoopError, "sparse6 input encodes a loop at vertex 0"),
+        (parse_sparse6, b":A~", LoopError, "sparse6 input encodes a loop at vertex 1"),
+        (parse_graph6, b":A_", FormatError, "input is sparse6, not graph6"),
+        (parse_graph6, b"C0", FormatError, "graph6 body contains bytes outside 63..126"),
+        (parse_graph6, b"C~~", FormatError, "graph6 body has 2 bytes, expected 1 for n=4"),
+        (parse_graph6, b"C", FormatError, "graph6 body has 0 bytes, expected 1 for n=4"),
+        # a byte out of range and the wrong length: the range check fires first
+        (parse_graph6, b"C~0", FormatError, "graph6 body contains bytes outside 63..126"),
+    ],
+)
+def test_malformed_encodings_get_their_messages(parser, data, error, message):
+    with pytest.raises(error) as info:
+        parser(data)
+    assert type(info.value) is error
+    assert str(info.value) == message
