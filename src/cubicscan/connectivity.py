@@ -5,6 +5,8 @@ return the lexicographically smallest witness so that reports and
 golden tests are stable. Connectivity, bridges, edge connectivity and
 edge cuts all read one labeling: each edge's set of fundamental cycles
 as a bitmask, under which an edge set is a cut iff its labels XOR to 0.
+The spanning tree that the labeling is built on also gives each cut's
+two sides, read down the tree from vertex 0.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ class CutSet:
         return len(self.side_u) == 1 or len(self.side_ubar) == 1
 
 
-def _cycle_labels(g: CubicGraph) -> tuple[int, list[int]]:
-    """Component count and, per edge id, the set of fundamental cycles
-    through that edge as a bitmask.
+def _cycle_labels(g: CubicGraph) -> tuple[int, list[int], list[int], list[int]]:
+    """Component count; per edge id, the set of fundamental cycles
+    through that edge as a bitmask; and the BFS spanning forest the
+    labels come from, as the tree edge into each vertex (-1 at a root)
+    and the visit order, which puts every vertex after its parent.
 
     A BFS spanning forest is built; the i-th non-tree edge gets bit
     ``1 << i`` (its own fundamental cycle), and the tree edge into v
@@ -104,7 +108,7 @@ def _cycle_labels(g: CubicGraph) -> tuple[int, list[int]]:
         if via[v] >= 0:
             labels[via[v]] = acc[v]
             acc[g.other_endpoint(via[v], v)] ^= acc[v]
-    return count, labels
+    return count, labels, via, order
 
 
 def is_connected(g: CubicGraph) -> bool:
@@ -122,7 +126,7 @@ def edge_connectivity(g: CubicGraph) -> int:
     1 if some edge is a bridge, 2 if two edges share a label (see
     ``_cycle_labels``), else 3, which every vertex star reaches.
     """
-    count, labels = _cycle_labels(g)
+    count, labels, _, _ = _cycle_labels(g)
     if count != 1:
         raise DisconnectedError("edge connectivity requires a connected graph")
     if 0 in labels:
@@ -202,32 +206,26 @@ def find_square_triangle_pair(
 
 
 def find_cycle_of_length(g: CubicGraph, k: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest cycle on k distinct vertices, k in {3, 4}."""
+    """Lexicographically smallest cycle on k distinct vertices, k in {3, 4}.
+
+    Paths grow from each a through higher vertices in ascending order, so
+    the first that closes back to a with path[1] < path[-1] (one
+    orientation) is the smallest.
+    """
     if k not in (3, 4):
         raise ValueError(f"k must be 3 or 4, got {k}")
-    nbr = _simple_neighbor_sets(g)
-    if k == 3:
-        for a in range(g.n):
-            for b in sorted(nbr[a]):
-                if b <= a:
-                    continue
-                for c in sorted(nbr[a] & nbr[b]):
-                    if c > b:
-                        return (a, b, c)
-        return None
-    for a in range(g.n):
-        for b in sorted(nbr[a]):
-            if b <= a:
-                continue
-            for c in sorted(nbr[b]):
-                if c <= a or c == b:
-                    continue
-                for d in sorted(nbr[c] & nbr[a]):
-                    # b < d keeps one orientation of the cycle a-b-c-d
-                    if d <= b or d == a or d == c:
-                        continue
-                    return (a, b, c, d)
-    return None
+    nbr = [sorted(row) for row in _simple_neighbor_sets(g)]
+
+    def cycles(path: list[int]) -> Iterator[tuple[int, ...]]:
+        if len(path) == k:
+            if path[1] < path[-1] and path[0] in nbr[path[-1]]:
+                yield tuple(path)
+            return
+        for w in nbr[path[-1]]:
+            if w > path[0] and w not in path:
+                yield from cycles(path + [w])
+
+    return next((c for a in range(g.n) for c in cycles([a])), None)
 
 
 def edge_cuts(g: CubicGraph, k: int) -> Iterator[CutSet]:
@@ -237,21 +235,27 @@ def edge_cuts(g: CubicGraph, k: int) -> Iterator[CutSet]:
     A k-subset is a cut iff its labels XOR to 0 (see ``_cycle_labels``).
     The (k-1)-subsets are walked in ``combinations`` order, and each is
     completed by every higher edge id whose label cancels the subset's
-    XOR, looked up by label. The sides come from one search from vertex
-    0 that switches side on each cut edge; a cut meets every cycle
-    evenly, so every path gives a vertex the same side. Sides need not
-    be connected, which matters below k-edge-connectivity. A bad k or a
-    disconnected graph raises at the call, before the first cut.
+    XOR, looked up by label. The sides are read down the labeling's BFS
+    tree from vertex 0, which is in ``side_u``: a vertex switches side
+    from its parent when its tree edge is in the cut. A cut meets every
+    cycle evenly, so every path gives a vertex the same side, and the
+    tree path is one. Sides need not be connected, which matters below
+    k-edge-connectivity. A bad k or a disconnected graph raises at the
+    call, before the first cut.
     """
     if k < 1:
         raise ValueError(f"cut size k must be at least 1, got k={k}")
-    count, labels = _cycle_labels(g)
+    count, labels, via, order = _cycle_labels(g)
     if count != 1:
         raise DisconnectedError("cut enumeration requires a connected graph")
-    return _labeled_cuts(g, labels, k)
+    return _labeled_cuts(g, labels, via, order, k)
 
 
-def _labeled_cuts(g: CubicGraph, labels: list[int], k: int) -> Iterator[CutSet]:
+def _labeled_cuts(
+    g: CubicGraph, labels: list[int], via: list[int], order: list[int], k: int
+) -> Iterator[CutSet]:
+    # (vertex, parent, tree edge) below the root 0, parents first
+    tree = [(v, g.other_endpoint(via[v], v), via[v]) for v in order[1:]]
     by_label: dict[int, list[int]] = {}
     for eid, label in enumerate(labels):
         by_label.setdefault(label, []).append(eid)
@@ -262,15 +266,9 @@ def _labeled_cuts(g: CubicGraph, labels: list[int], k: int) -> Iterator[CutSet]:
         last = by_label.get(rest, ())
         for eid in last[bisect_right(last, prefix[-1]) if prefix else 0 :]:
             cut = (*prefix, eid)
-            side = [-1] * g.n
-            side[0] = 1
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for w, e in g.adjacency[u]:
-                    if side[w] < 0:
-                        side[w] = side[u] ^ (e in cut)
-                        stack.append(w)
+            side = [1] * g.n
+            for v, parent, e in tree:
+                side[v] = side[parent] ^ (e in cut)
             yield CutSet(
                 edges=frozenset(cut),
                 side_u=tuple(v for v in range(g.n) if side[v]),

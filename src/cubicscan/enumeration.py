@@ -27,7 +27,7 @@ positives, so its memory does not grow with the class count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from . import connectivity, matching
@@ -36,6 +36,7 @@ from .errors import (
     DuplicateGraphError,
     GenerationLimitError,
     OddVertexCountError,
+    PreconditionError,
 )
 from .formats import emit_sparse6
 from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
@@ -195,14 +196,6 @@ class PositiveRecord:
     sparse6: str
     is_petersen: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "certificate": self.certificate,
-            "sparse6": self.sparse6,
-            "is_petersen": self.is_petersen,
-        }
-
 
 @dataclass(frozen=True)
 class NScanStats:
@@ -210,14 +203,6 @@ class NScanStats:
     bridgeless: int
     premise_positive: tuple[PositiveRecord, ...]
     elapsed_seconds: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "generated": self.generated,
-            "bridgeless": self.bridgeless,
-            "premise_positive": [p.to_json_dict() for p in self.premise_positive],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 @dataclass(frozen=True)
@@ -235,8 +220,8 @@ class ScanReport:
         return {
             "n_range": list(self.n_range),
             "allow_multi": self.allow_multi,
-            "per_n": {str(n): stats.to_json_dict() for n, stats in sorted(self.per_n.items())},
-            "positives": [p.to_json_dict() for p in self.positives],
+            "per_n": {str(n): asdict(stats) for n, stats in sorted(self.per_n.items())},
+            "positives": [asdict(p) for p in self.positives],
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -298,7 +283,8 @@ def scan_corpus(graphs: Iterable[CubicGraph]) -> ScanReport:
     The theorem is about connected graphs, so the first disconnected
     graph raises DisconnectedError; counts are per isomorphism class, so
     the first graph isomorphic to an earlier one raises
-    DuplicateGraphError.
+    DuplicateGraphError. A corpus with no graph at all raises
+    PreconditionError, since a scan of nothing answers nothing.
     """
     started = time.perf_counter()
     by_n: dict[int, list[CubicGraph]] = {}
@@ -313,6 +299,8 @@ def scan_corpus(graphs: Iterable[CubicGraph]) -> ScanReport:
         seen.add(cert)
         by_n.setdefault(g.n, []).append(g)
         any_multi = any_multi or g.has_parallel_edges
+    if not by_n:
+        raise PreconditionError("corpus has no graphs")
     n_range = tuple(sorted(by_n))
     per_n = {n: _scan_one_n(by_n[n], n) for n in n_range}
     return ScanReport(

@@ -16,10 +16,11 @@ chains of single children. Enumeration order and the premise witness
 are therefore those of the plain search, which the test suite keeps as
 an ordered oracle.
 
-The search can start with edges already matched. Each ``exists_*``
-predicate is a first-leaf query of that kind: one for a required edge
-or pair of edges, and a forbidden edge uv becomes a required one,
-since a matching avoids uv exactly when it matches u by another edge.
+The search can start with edges already matched. Every ``exists_*``
+predicate is its argument checks plus one call of ``_exists``, which
+asks first-leaf queries of that kind: one for required edges, and an
+avoided edge uv becomes a choice of the other two edges at u, since a
+matching avoids uv exactly when it matches u by another edge.
 ``_matching_search(g)`` does the per-graph setup once and returns the
 search, so a caller with many such questions about one graph, as the
 verifier's claim C8 asks one per 3-edge path, pays for it once.
@@ -45,6 +46,7 @@ results are value snapshots, safe to share across threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MatchingError, MultigraphError
@@ -235,18 +237,13 @@ def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
     return search
 
 
-def _found(leaves: Iterator[PerfectMatching]) -> bool:
-    """The search yields a first leaf."""
-    return next(leaves, None) is not None
-
-
 def enumerate_perfect_matchings(g: CubicGraph) -> tuple[PerfectMatching, ...]:
     """All perfect matchings as edge-id sets, in deterministic order."""
     return tuple(_matching_search(g)())
 
 
 def exists_perfect_matching(g: CubicGraph) -> bool:
-    return _found(_matching_search(g)())
+    return _exists(g)
 
 
 def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
@@ -392,26 +389,34 @@ def _check_edge_ids(g: CubicGraph, *ids: int) -> None:
             raise ValueError(f"edge id {eid} out of range")
 
 
-def _other_edges(g: CubicGraph, eid: int) -> list[int]:
-    """The two other edge ids at the first endpoint of the edge."""
-    return [other for _, other in g.adjacency[g.edges[eid][0]] if other != eid]
+def _exists(g: CubicGraph, required: tuple[int, ...] = (), avoided: tuple[int, ...] = ()) -> bool:
+    """Some perfect matching holds every required edge and no avoided one.
+
+    A matching avoids uv exactly when it matches u by another edge, so each
+    avoided edge becomes a choice of one of the other two edges at its first
+    endpoint. Choices run in ``product`` order; one made twice is asked once,
+    and a set of edges that share an endpoint is not asked.
+    """
+    search = _matching_search(g)
+    choices = [[o for _, o in g.adjacency[g.edges[e][0]] if o != e] for e in avoided]
+    for chosen in product(*choices):
+        forced = (*required, *dict.fromkeys(chosen))
+        ends = [v for eid in forced for v in g.edges[eid]]
+        if len(set(ends)) == len(ends) and next(search(*forced), None) is not None:
+            return True
+    return False
 
 
 def exists_pm_with_edge(g: CubicGraph, eid: int) -> bool:
     """Some perfect matching contains the edge with this id."""
     _check_edge_ids(g, eid)
-    return _found(_matching_search(g)(eid))
+    return _exists(g, (eid,))
 
 
 def exists_pm_avoiding_edge(g: CubicGraph, eid: int) -> bool:
-    """Some perfect matching avoids the edge with this id.
-
-    A matching avoids uv exactly when it matches u by another edge, so
-    this asks whether one of the other two edges at u is in a matching.
-    """
+    """Some perfect matching avoids the edge with this id."""
     _check_edge_ids(g, eid)
-    search = _matching_search(g)
-    return any(_found(search(other)) for other in _other_edges(g, eid))
+    return _exists(g, avoided=(eid,))
 
 
 def exists_pm_with_edge_pair(g: CubicGraph, eid: int, fid: int) -> bool:
@@ -421,29 +426,15 @@ def exists_pm_with_edge_pair(g: CubicGraph, eid: int, fid: int) -> bool:
         raise ValueError("the two edges must be distinct")
     if set(g.edges[eid]) & set(g.edges[fid]):
         raise ValueError("the two edges must not share an endpoint")
-    return _found(_matching_search(g)(eid, fid))
+    return _exists(g, (eid, fid))
 
 
 def exists_two_factor_through_edges(g: CubicGraph, eid: int, fid: int) -> bool:
-    """Some 2-factor contains both edges, i.e. some matching avoids both.
-
-    A matching avoids both exactly when it holds one of the other edges
-    at an endpoint of the first and one at an endpoint of the second,
-    so at most four forced pairs are asked; a pick made twice is asked
-    alone, and two picks that share an endpoint never lie in a matching.
-    """
+    """Some 2-factor contains both edges, i.e. some matching avoids both."""
     _check_edge_ids(g, eid, fid)
     if eid == fid:
         raise ValueError("the two edges must be distinct")
-    search = _matching_search(g)
-    for e in _other_edges(g, eid):
-        for f in _other_edges(g, fid):
-            if e == f:
-                if _found(search(e)):
-                    return True
-            elif not set(g.edges[e]) & set(g.edges[f]) and _found(search(e, f)):
-                return True
-    return False
+    return _exists(g, avoided=(eid, fid))
 
 
 def exists_triangle_free_two_factor(g: CubicGraph) -> bool:

@@ -238,13 +238,10 @@ def verify_claims(g: CubicGraph) -> ClaimReport:
         results["C5"] = ClaimResult(True)
     else:
         short: object = None
-        if girth_value == 2 and two_cycle is not None:
+        if girth_value == 2:
             short = {"parallel_edge_ids": list(two_cycle)}
-        elif girth_value == 3 and triangle is not None:
-            short = {"cycle": list(triangle)}
-        elif girth_value == 4:
-            square = connectivity.find_cycle_of_length(g, 4)
-            short = None if square is None else {"cycle": list(square)}
+        elif girth_value in (3, 4):
+            short = {"cycle": list(connectivity.find_cycle_of_length(g, girth_value))}
         results["C5"] = ClaimResult(False, {"girth": girth_value, "witness": short})
 
     lam = connectivity.edge_connectivity(g)

@@ -17,7 +17,9 @@ is the plain depth-first search, with no dead-end cut. The premise
 oracles read every spectrum off the cycles that
 ``complementary_two_factor`` builds, not off the length-only walk, and
 the C8 oracle filters a table of every perfect matching instead of
-asking the matching search about each path.
+asking the matching search about each path. The short-cycle oracle is
+one loop nest per cycle length, where the package runs one path search
+for both.
 """
 
 from __future__ import annotations
@@ -537,6 +539,34 @@ def brute_edge_cuts_by_bipartition(
         side_ubar = tuple(v for v in range(g.n) if not (mask >> v) & 1)
         cuts.append((boundary, side_u, side_ubar))
     return sorted(cuts, key=lambda cut: cut[0])
+
+
+def cycle_of_length_by_loops(g: CubicGraph, k: int) -> tuple[int, ...] | None:
+    """Lexicographically smallest cycle on k distinct vertices, k in {3, 4},
+    by one loop nest per length."""
+    nbr = [set(row) for row in g.neighbor_lists]
+    if k == 3:
+        for a in range(g.n):
+            for b in sorted(nbr[a]):
+                if b <= a:
+                    continue
+                for c in sorted(nbr[a] & nbr[b]):
+                    if c > b:
+                        return (a, b, c)
+        return None
+    for a in range(g.n):
+        for b in sorted(nbr[a]):
+            if b <= a:
+                continue
+            for c in sorted(nbr[b]):
+                if c <= a or c == b:
+                    continue
+                for d in sorted(nbr[c] & nbr[a]):
+                    # b < d keeps one orientation of the cycle a-b-c-d
+                    if d <= b or d == a or d == c:
+                        continue
+                    return (a, b, c, d)
+    return None
 
 
 def brute_triangle_patterns(g: CubicGraph) -> dict[str, bool]:

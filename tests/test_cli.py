@@ -224,6 +224,15 @@ def test_scan_corpus_rejects_isomorphic_duplicates_with_exit_2(
     assert "positive" not in captured.out
 
 
+def test_scan_corpus_rejects_empty_corpus_with_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "empty.g6", "\n\n")
+    code = main(["scan", "-i", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "corpus has no graphs" in captured.err
+    assert captured.out == ""
+
+
 def test_scan_corpus_rejects_edgelist_format(tmp_path, capsys, k4):
     path = _write(tmp_path, "k4.txt", emit_edgelist(k4))
     with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,7 @@ from oracles import (
     brute_bridges,
     brute_edge_connectivity,
     brute_triangle_patterns,
+    cycle_of_length_by_loops,
     removal_disconnects,
 )
 
@@ -158,6 +159,14 @@ def test_find_cycle_of_length_examples(k4, k33, petersen_graph):
         find_cycle_of_length(k4, 5)
 
 
+def test_find_cycle_of_length_equals_the_loop_nests(
+    small_graphs, random_multigraphs, random_simple_graphs, prisms
+):
+    for g in (*small_graphs, *random_multigraphs, *random_simple_graphs, *prisms.values()):
+        for k in (3, 4):
+            assert find_cycle_of_length(g, k) == cycle_of_length_by_loops(g, k), k
+
+
 def test_3_edge_cuts_match_brute_force(petersen_graph, k4, prism, bridged8):
     for g in (petersen_graph, k4, prism, bridged8):
         ours = {cut.edges for cut in enumerate_3_edge_cuts(g)}
@@ -177,9 +186,11 @@ def test_every_cut_disconnects(petersen_graph, prism, bridged8, small_graphs):
             assert sorted(cut.side_u + cut.side_ubar) == list(range(g.n))
 
 
-def test_edge_cuts_match_the_bipartition_scan_in_order(small_graphs):
-    # k = 1 and 2 give C6's witness below 3-edge-connectivity, k = 3 gives C7
-    for g in small_graphs:
+def test_edge_cuts_match_the_bipartition_scan_in_order(small_graphs, random_multigraphs):
+    # k = 1 and 2 give C6's witness below 3-edge-connectivity, k = 3 gives C7;
+    # the random multigraphs have parallel edges both in and out of the tree
+    multigraphs = [g for g in random_multigraphs if g.n <= 14 and is_connected(g)]
+    for g in small_graphs + multigraphs:
         for k in (1, 2, 3):
             ours = [
                 (sorted(cut.edges), cut.side_u, cut.side_ubar) for cut in edge_cuts(g, k)

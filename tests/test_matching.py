@@ -4,6 +4,7 @@ from itertools import combinations, zip_longest
 
 import pytest
 
+from cubicscan.connectivity import is_connected
 from cubicscan.enumeration import filter_bridgeless, generate_cubic_graphs
 from cubicscan.errors import MatchingError, MultigraphError
 from cubicscan.matching import (
@@ -322,9 +323,12 @@ def test_two_factor_through_edges(petersen_graph, k4, bridged8):
             assert not exists_two_factor_through_edges(bridged8, bridge, fid)
 
 
-def test_edge_queries_equal_the_enumeration_answers():
+def test_edge_queries_equal_the_enumeration_answers(doubled_edge_ring, random_multigraphs):
+    # in the multigraphs a parallel twin is one of an avoided edge's other edges
     graphs = [g for n in (2, 4, 6, 8) for g in generate_cubic_graphs(n, allow_multi=True)]
     graphs += [g for n in (4, 6, 8, 10) for g in generate_cubic_graphs(n)]
+    graphs += [doubled_edge_ring]
+    graphs += [g for g in random_multigraphs if g.n <= 14 and is_connected(g)]
     for g in graphs:
         matchings = enumerate_perfect_matchings(g)
         for eid in range(len(g.edges)):
