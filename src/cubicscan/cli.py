@@ -6,13 +6,16 @@ graph, ``scan`` the exhaustive theorem check, ``generate`` a corpus.
 Exit codes are a stable contract for CI use: 0 = success / expected
 result, 1 = a scan found an unexpected premise-positive graph (which
 would falsify the expected outcome), 2 = usage, parse, or validation
-error.
+error, 141 = stdout was closed before the output was written (as when
+piped into ``head``; 128 + SIGPIPE, the status a shell reports for a
+tool that SIGPIPE stopped).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from typing import Sequence
@@ -33,6 +36,7 @@ from .graphs import CubicGraph
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 _PARSERS = {
     "auto": parse_auto,
@@ -150,21 +154,21 @@ def _render_scan(report: enumeration.ScanReport, args: argparse.Namespace) -> No
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.input is not None:
-        return cmd_scan_corpus(args)
-    if args.n_max is None:
+    from_corpus = args.input is not None
+    if from_corpus:
+        if args.n_max is not None or args.multi:
+            option = "--n-max" if args.n_max is not None else "--multi"
+            raise CubicGraphError(
+                f"scan --input cannot take {option}: the corpus gives the graphs"
+            )
+        lines = _read_input(args.input).splitlines()
+        report = enumeration.scan_corpus(list(iter_graph_lines(lines, args.format)))
+    elif args.n_max is None:
         raise CubicGraphError("scan requires --n-max")
-    report = enumeration.scan_theorem(args.n_max, allow_multi=args.multi)
+    else:
+        report = enumeration.scan_theorem(args.n_max, allow_multi=args.multi)
     _render_scan(report, args)
-    return _scan_exit_code(report, from_corpus=False)
-
-
-def cmd_scan_corpus(args: argparse.Namespace) -> int:
-    lines = _read_input(args.input).splitlines()
-    graphs = list(iter_graph_lines(lines, args.format))
-    report = enumeration.scan_corpus(graphs)
-    _render_scan(report, args)
-    return _scan_exit_code(report, from_corpus=True)
+    return _scan_exit_code(report, from_corpus)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -232,7 +236,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest to devnull, so that the
+        # interpreter's last flush of stdout has nothing to complain about
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (CubicGraphError, OSError, ValueError) as exc:
         print(f"cubicscan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

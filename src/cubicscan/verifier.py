@@ -22,7 +22,9 @@ Claim ids:
   C7  every 3-edge-cut is a vertex star
   C8  every 3-edge path extends to a perfect matching through its
       outer edges
-  FINAL  5-cycle neighborhood structure (see verify_neighborhood_structure)
+  FINAL  5-cycle neighborhood structure, decided by its 3-edge-path
+         condition, which on girth 5 forces the other two (see
+         verify_neighborhood_structure)
   PROP4  a 10-vertex girth-5 graph must be the Petersen graph
 """
 
@@ -90,27 +92,6 @@ def _three_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int, int]]:
                         yield (u, v, w, x)
 
 
-def _two_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int]]:
-    """All paths u-v-w on three distinct vertices, with u < w."""
-    nbr = g.neighbor_lists
-    for v in range(g.n):
-        candidates = sorted(set(nbr[v]))
-        for i, u in enumerate(candidates):
-            for w in candidates[i + 1 :]:
-                yield (u, v, w)
-
-
-def _count_five_cycles_through_path(nbr: list[set[int]], u: int, v: int, w: int) -> int:
-    """Number of distinct 5-cycles containing the path u-v-w, given each
-    vertex's neighbour set."""
-    count = 0
-    for x in nbr[w] - {u, v}:
-        for y in nbr[u] - {v, w, x}:
-            if x in nbr[y]:
-                count += 1
-    return count
-
-
 def _check_c8(g: CubicGraph) -> ClaimResult:
     """The first 3-edge path u-v-w-x with no perfect matching through
     uv and wx, by first-leaf queries on one matching search.
@@ -141,36 +122,6 @@ def _neighborhood_structure(g: CubicGraph) -> tuple[bool, dict | None]:
     for u, v, w, x in _three_edge_paths(g):
         if not any(y in nbr[u] for y in nbr[x] - {u, v, w}):
             return False, {"check": "3-edge path not on a 5-cycle", "path": [u, v, w, x]}
-    for u, v, w in _two_edge_paths(g):
-        if _count_five_cycles_through_path(nbr, u, v, w) < 2:
-            return False, {
-                "check": "2-edge path on fewer than two 5-cycles",
-                "path": [u, v, w],
-            }
-    for u in range(g.n):
-        v, w, x = sorted(nbr[u])
-        blocks = [sorted(nbr[b] - {u}) for b in (v, w, x)]
-        names = [u, v, w, x] + [vertex for block in blocks for vertex in block]
-        if len(set(names)) != 10:
-            return False, {
-                "check": "closed second neighborhood is not 10 distinct vertices",
-                "vertex": u,
-            }
-        for i in range(3):
-            for j in range(i + 1, 3):
-                between = sum(
-                    1
-                    for a, b in g.edges
-                    if (a in blocks[i] and b in blocks[j])
-                    or (a in blocks[j] and b in blocks[i])
-                )
-                if between != 2:
-                    return False, {
-                        "check": "second-neighborhood blocks not joined by exactly two edges",
-                        "vertex": u,
-                        "blocks": [blocks[i], blocks[j]],
-                        "edges_between": between,
-                    }
     return True, None
 
 
@@ -186,6 +137,16 @@ def verify_neighborhood_structure(g: CubicGraph) -> NeighborhoodCheck:
     on at least two distinct 5-cycles; (c) each closed second
     neighborhood has 10 distinct vertices with exactly two edges
     between each pair of second-neighborhood blocks.
+
+    Only (a) is scanned: on girth 5 it forces (b) and (c). Let v have
+    neighbours a, b, c, and let A = N(a) - v and B = N(b) - v. Girth 5
+    makes v, its neighbours and their six other neighbours ten distinct
+    vertices, and the 5-cycles through a-v-b are exactly the edges
+    between A and B. A vertex of A with two neighbours in B would close
+    a 4-cycle through b, so there are at most two such edges; (a) on
+    each path x-a-v-b, x in A, gives x a neighbour in B, so there are
+    exactly two. A graph that fails (b) or (c) therefore fails (a)
+    first, and the witness is the first 3-edge path on no 5-cycle.
     """
     girth_value = connectivity.girth(g)
     if girth_value != 5:

@@ -26,6 +26,9 @@ The small named graphs exercised throughout the suite:
   for n = 12..20; they may be disconnected or lack a perfect matching
 * random_simple_graphs: 20 seeded pairing-model simple graphs with
   n = 30, all of them connected
+* random_girth5_graphs: 40 seeded pairing-model simple graphs of girth
+  exactly 5: one for each even n = 20..60, then one more for each even
+  n = 20..56
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import random
 import networkx as nx
 import pytest
 
+from cubicscan.connectivity import girth
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.graphs import CubicGraph, from_edge_list, petersen
 
@@ -174,4 +178,17 @@ def random_simple_graphs() -> list[CubicGraph]:
         g = _pairing_multigraph(rng, 30)
         if not g.has_parallel_edges:
             graphs.append(g)
+    return graphs
+
+
+@pytest.fixture(scope="session")
+def random_girth5_graphs() -> list[CubicGraph]:
+    rng = random.Random(5)
+    graphs = []
+    for i in range(40):
+        while True:
+            g = _pairing_multigraph(rng, 20 + 2 * (i % 21))
+            if not g.has_parallel_edges and girth(g) == 5:
+                graphs.append(g)
+                break
     return graphs

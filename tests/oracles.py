@@ -19,7 +19,8 @@ oracles read every spectrum off the cycles that
 the C8 oracle filters a table of every perfect matching instead of
 asking the matching search about each path. The short-cycle oracle is
 one loop nest per cycle length, where the package runs one path search
-for both.
+for both. The FINAL oracle scans all three 5-cycle neighborhood
+conditions in turn, where the package scans the 3-edge paths alone.
 """
 
 from __future__ import annotations
@@ -444,6 +445,68 @@ def c8_by_enumeration(g: CubicGraph) -> ClaimResult:
         if not any(first in pairs and second in pairs for pairs in pair_sets):
             return ClaimResult(False, {"path": [u, v, w, x]})
     return ClaimResult(True)
+
+
+def two_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int]]:
+    """All paths u-v-w on three distinct vertices, with u < w."""
+    nbr = g.neighbor_lists
+    for v in range(g.n):
+        candidates = sorted(set(nbr[v]))
+        for i, u in enumerate(candidates):
+            for w in candidates[i + 1 :]:
+                yield (u, v, w)
+
+
+def count_five_cycles_through_path(nbr: list[set[int]], u: int, v: int, w: int) -> int:
+    """Number of distinct 5-cycles containing the path u-v-w, given each
+    vertex's neighbour set."""
+    count = 0
+    for x in nbr[w] - {u, v}:
+        for y in nbr[u] - {v, w, x}:
+            if x in nbr[y]:
+                count += 1
+    return count
+
+
+def neighborhood_structure_by_parts(g: CubicGraph) -> tuple[bool, dict | None]:
+    """The FINAL check on a girth-5 graph with all three conditions
+    scanned in turn: (a) the 3-edge paths, (b) the 2-edge paths, and (c)
+    the closed second neighborhoods, where the package scans (a) alone."""
+    nbr = [set(row) for row in g.neighbor_lists]
+    for u, v, w, x in _three_edge_paths(g):
+        if not any(y in nbr[u] for y in nbr[x] - {u, v, w}):
+            return False, {"check": "3-edge path not on a 5-cycle", "path": [u, v, w, x]}
+    for u, v, w in two_edge_paths(g):
+        if count_five_cycles_through_path(nbr, u, v, w) < 2:
+            return False, {
+                "check": "2-edge path on fewer than two 5-cycles",
+                "path": [u, v, w],
+            }
+    for u in range(g.n):
+        v, w, x = sorted(nbr[u])
+        blocks = [sorted(nbr[b] - {u}) for b in (v, w, x)]
+        names = [u, v, w, x] + [vertex for block in blocks for vertex in block]
+        if len(set(names)) != 10:
+            return False, {
+                "check": "closed second neighborhood is not 10 distinct vertices",
+                "vertex": u,
+            }
+        for i in range(3):
+            for j in range(i + 1, 3):
+                between = sum(
+                    1
+                    for a, b in g.edges
+                    if (a in blocks[i] and b in blocks[j])
+                    or (a in blocks[j] and b in blocks[i])
+                )
+                if between != 2:
+                    return False, {
+                        "check": "second-neighborhood blocks not joined by exactly two edges",
+                        "vertex": u,
+                        "blocks": [blocks[i], blocks[j]],
+                        "edges_between": between,
+                    }
+    return True, None
 
 
 def removal_disconnects(g: CubicGraph, removed: set[int]) -> bool:

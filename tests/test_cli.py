@@ -1,6 +1,7 @@
 """CLI surface: exit codes, formats, JSON schema validity, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -240,6 +241,16 @@ def test_scan_corpus_rejects_edgelist_format(tmp_path, capsys, k4):
     assert exc.value.code == 2
 
 
+def test_scan_corpus_rejects_generation_options_with_exit_2(tmp_path, capsys, petersen_graph):
+    path = _write(tmp_path, "petersen.s6", emit_sparse6(petersen_graph) + b"\n")
+    for option in (["--n-max", "10"], ["--multi"]):
+        code = main(["scan", "-i", path, *option])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert option[0] in captured.err
+        assert captured.out == ""
+
+
 def test_scan_json_deterministic(capsys):
     _, first = _run_json(capsys, ["scan", "--n-max", "8", "--output", "json"])
     _, second = _run_json(capsys, ["scan", "--n-max", "8", "--output", "json"])
@@ -278,6 +289,27 @@ def test_generate_output_parses_back(capsys, tmp_path):
     code, payload = _run_json(capsys, ["scan", "--input", path, "--output", "json"])
     assert code == 0
     assert payload["per_n"]["6"]["generated"] == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the reader is closed before the child has imported the package, so
+    # its first write or its flush meets a broken pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubicscan.cli", "generate", "--n", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
 
 
 def test_stdin_input(capsys, monkeypatch, petersen_graph):

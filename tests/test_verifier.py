@@ -14,7 +14,14 @@ from cubicscan.verifier import (
     verify_neighborhood_structure,
     verify_petersen_uniqueness,
 )
-from oracles import brute_edge_connectivity, c8_by_enumeration, removal_disconnects
+from oracles import (
+    brute_edge_connectivity,
+    c8_by_enumeration,
+    count_five_cycles_through_path,
+    neighborhood_structure_by_parts,
+    removal_disconnects,
+    two_edge_paths,
+)
 
 
 def test_petersen_report_all_claims_hold(petersen_graph):
@@ -182,6 +189,38 @@ def test_neighborhood_structure_fails_on_other_girth5_graphs():
             assert not check.holds
             assert check.witness is not None
     assert found > 0
+
+
+def test_neighborhood_structure_equals_the_three_part_oracle(
+    petersen_graph, random_girth5_graphs
+):
+    # FINAL scans only the 3-edge paths; on girth 5 that must give the
+    # verdict and witness of scanning all three conditions
+    import random
+
+    rng = random.Random(10)
+    relabelings = []
+    for _ in range(20):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        relabelings.append(relabeled(petersen_graph, perm))
+    generated = [
+        g for n in (10, 12, 14) for g in generate_cubic_graphs(n) if girth(g) == 5
+    ]
+    assert len(generated) == 1 + 2 + 8
+    holding = 0
+    for g in [*generated, *random_girth5_graphs, *relabelings]:
+        expected = neighborhood_structure_by_parts(g)
+        assert tuple(verify_neighborhood_structure(g)) == expected
+        holding += expected[0]
+        # the half of the argument that the 3-edge-path scan does not
+        # test: no 2-edge path lies on more than two 5-cycles
+        nbr = [set(row) for row in g.neighbor_lists]
+        assert all(
+            count_five_cycles_through_path(nbr, u, v, w) <= 2
+            for u, v, w in two_edge_paths(g)
+        )
+    assert holding == 21  # the Petersen graph and its relabelings, nothing else
 
 
 def test_uniqueness_on_the_full_stream():
