@@ -23,14 +23,7 @@ from typing import Sequence
 from . import enumeration, matching, verifier
 from .connectivity import bridges, edge_connectivity, girth
 from .errors import CubicGraphError
-from .formats import (
-    emit_sparse6,
-    iter_graph_lines,
-    parse_auto,
-    parse_edgelist,
-    parse_graph6,
-    parse_sparse6,
-)
+from .formats import CORPUS_PARSERS, emit_sparse6, iter_graph_lines, parse_edgelist
 from .graphs import CubicGraph
 
 EXIT_OK = 0
@@ -38,12 +31,9 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
-_PARSERS = {
-    "auto": parse_auto,
-    "graph6": parse_graph6,
-    "sparse6": parse_sparse6,
-    "edgelist": parse_edgelist,
-}
+# a dict of its own: single-graph input also takes an edge list, and the
+# benchmark tracer (perfbench/tracing.py) wraps these entries in place
+_PARSERS = {**CORPUS_PARSERS, "edgelist": parse_edgelist}
 
 
 def _read_input(path: str) -> str:
@@ -188,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", default="-", help="input path, or - for stdin")
         p.add_argument(
             "--format",
-            choices=("auto", "graph6", "sparse6", "edgelist"),
+            choices=tuple(_PARSERS),
             default="auto",
             help="input format (default: sniff)",
         )
@@ -218,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="scan a graph6/sparse6 corpus file instead of generating",
     )
-    p_scan.add_argument(
-        "--format", choices=("auto", "graph6", "sparse6"), default="auto"
-    )
+    p_scan.add_argument("--format", choices=tuple(CORPUS_PARSERS), default="auto")
     add_output(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

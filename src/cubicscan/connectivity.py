@@ -32,7 +32,6 @@ __all__ = [
     "find_cycle_of_length",
     "edge_cuts",
     "enumerate_3_edge_cuts",
-    "has_only_trivial_3_edge_cuts",
 ]
 
 
@@ -280,7 +279,3 @@ def enumerate_3_edge_cuts(g: CubicGraph) -> list[CutSet]:
     """All edge cuts of size exactly 3; see ``edge_cuts``."""
     return list(edge_cuts(g, 3))
 
-
-def has_only_trivial_3_edge_cuts(g: CubicGraph) -> bool:
-    """True iff every 3-edge-cut isolates a single vertex (is a vertex star)."""
-    return all(cut.is_vertex_star for cut in enumerate_3_edge_cuts(g))

@@ -32,6 +32,7 @@ __all__ = [
     "emit_edgelist",
     "parse_auto",
     "iter_graph_lines",
+    "CORPUS_PARSERS",
 ]
 
 _SPARSE6_HEADER = b">>sparse6<<"
@@ -204,13 +205,18 @@ def parse_auto(text: bytes | str) -> CubicGraph:
     return parse_graph6(data)
 
 
+# the formats a one-graph-per-line corpus may use, by name
+CORPUS_PARSERS = {"auto": parse_auto, "graph6": parse_graph6, "sparse6": parse_sparse6}
+
+
 def iter_graph_lines(lines: Iterable[bytes | str], fmt: str = "auto") -> Iterator[CubicGraph]:
     """Parse a one-graph-per-line corpus in graph6/sparse6 format; any
     other ``fmt`` raises FormatError."""
-    parsers = {"auto": parse_auto, "graph6": parse_graph6, "sparse6": parse_sparse6}
-    if fmt not in parsers:
-        raise FormatError(f"unsupported corpus format {fmt!r}: use one of {', '.join(parsers)}")
-    parser = parsers[fmt]
+    if fmt not in CORPUS_PARSERS:
+        raise FormatError(
+            f"unsupported corpus format {fmt!r}: use one of {', '.join(CORPUS_PARSERS)}"
+        )
+    parser = CORPUS_PARSERS[fmt]
     for line in lines:
         data = _as_bytes(line).strip()
         if data:

@@ -44,6 +44,7 @@ __all__ = [
     "relabeled",
     "canonical_form",
     "is_isomorphic",
+    "is_canonical_labeling",
 ]
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .errors import MatchingError, MultigraphError
 from .graphs import CubicGraph
@@ -57,8 +57,6 @@ __all__ = [
     "FactorCycle",
     "TwoFactor",
     "CycleSpectrum",
-    "TutteCheck",
-    "tutte_condition",
     "exists_perfect_matching",
     "enumerate_perfect_matchings",
     "complementary_two_factor",
@@ -103,39 +101,6 @@ class TwoFactor:
         return frozenset(eid for cycle in self.cycles for eid in cycle.edge_ids)
 
 
-class TutteCheck(NamedTuple):
-    odd_components: int
-    satisfied: bool
-
-
-def tutte_condition(g: CubicGraph, subset: set[int]) -> TutteCheck:
-    """Count odd components of g - S and compare against |S|.
-
-    The graph has a perfect matching iff the check is satisfied for
-    every vertex subset S.
-    """
-    removed = set(subset)
-    if not removed <= set(range(g.n)):
-        raise ValueError("subset contains vertices outside the graph")
-    seen = [False] * g.n
-    odd = 0
-    for start in range(g.n):
-        if seen[start] or start in removed:
-            continue
-        size = 0
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            size += 1
-            for w, _ in g.adjacency[u]:
-                if not seen[w] and w not in removed:
-                    seen[w] = True
-                    stack.append(w)
-        odd += size % 2
-    return TutteCheck(odd_components=odd, satisfied=odd <= len(removed))
-
-
 def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
     """The per-graph setup of the perfect matching search.
 
@@ -171,6 +136,10 @@ def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
     ``frozenset(matched)``, since each id appears there twice. Every
     vertex covered on the path to a leaf was written when it was
     covered, so entries left by abandoned branches never reach a leaf.
+
+    The path from the root is a stack of per-node child generators, not
+    a chain of recursive calls, so a search up to n/2 branchings deep
+    does not meet the interpreter's recursion limit.
     """
     full = (1 << g.n) - 1
     neighbor_mask = [1 << a | 1 << b | 1 << c for a, b, c in g.neighbor_lists]
@@ -209,10 +178,8 @@ def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
                     work = (work | neighbor_mask[x]) & ~covered
             return covered
 
-        def extend(covered: int) -> Iterator[PerfectMatching]:
-            if covered == full:
-                yield frozenset(matched)
-                return
+        def children(covered: int) -> Iterator[int]:
+            """The covered masks of a node's children, in branch order."""
             lowest = ~covered & (covered + 1)
             v = lowest.bit_length() - 1
             covered |= lowest
@@ -222,7 +189,7 @@ def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
                 now = propagate(covered | w_bit, work)
                 if now is not None:
                     matched[v] = matched[w] = eid
-                    yield from extend(now)
+                    yield now
 
         covered = work = 0
         for eid in forced:
@@ -230,9 +197,18 @@ def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
             covered |= 1 << u | 1 << v
             work |= neighbor_mask[u] | neighbor_mask[v]
             matched[u] = matched[v] = eid
+        # the root is the one child of a virtual node, so a forced start
+        # that already covers every vertex is a leaf like any other
         start = propagate(covered, work)
-        if start is not None:
-            yield from extend(start)
+        stack = [] if start is None else [iter((start,))]
+        while stack:
+            covered = next(stack[-1], None)
+            if covered is None:
+                stack.pop()
+            elif covered == full:
+                yield frozenset(matched)
+            else:
+                stack.append(children(covered))
 
     return search
 

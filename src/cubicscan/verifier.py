@@ -24,17 +24,17 @@ Claim ids:
       outer edges
   FINAL  5-cycle neighborhood structure, decided by its 3-edge-path
          condition, which on girth 5 forces the other two (see
-         verify_neighborhood_structure)
+         _neighborhood_structure)
   PROP4  a 10-vertex girth-5 graph must be the Petersen graph
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from . import connectivity, matching
-from .errors import DisconnectedError, DuplicateGraphError, PreconditionError
+from .errors import DisconnectedError, DuplicateGraphError
 from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
 from .matching import _matched_edge_ids, _matching_search
 
@@ -43,7 +43,6 @@ __all__ = [
     "ClaimResult",
     "ClaimReport",
     "verify_claims",
-    "verify_neighborhood_structure",
     "verify_petersen_uniqueness",
 ]
 
@@ -118,19 +117,6 @@ def _check_c8(g: CubicGraph) -> ClaimResult:
 
 
 def _neighborhood_structure(g: CubicGraph) -> tuple[bool, dict | None]:
-    nbr = [set(row) for row in g.neighbor_lists]
-    for u, v, w, x in _three_edge_paths(g):
-        if not any(y in nbr[u] for y in nbr[x] - {u, v, w}):
-            return False, {"check": "3-edge path not on a 5-cycle", "path": [u, v, w, x]}
-    return True, None
-
-
-class NeighborhoodCheck(NamedTuple):
-    holds: bool
-    witness: dict | None
-
-
-def verify_neighborhood_structure(g: CubicGraph) -> NeighborhoodCheck:
     """Check the three 5-cycle neighborhood conditions on a girth-5 graph.
 
     (a) every 3-edge path lies on a 5-cycle; (b) every 2-edge path lies
@@ -148,12 +134,11 @@ def verify_neighborhood_structure(g: CubicGraph) -> NeighborhoodCheck:
     exactly two. A graph that fails (b) or (c) therefore fails (a)
     first, and the witness is the first 3-edge path on no 5-cycle.
     """
-    girth_value = connectivity.girth(g)
-    if girth_value != 5:
-        raise PreconditionError(
-            f"neighborhood structure needs girth 5, got {girth_value}"
-        )
-    return NeighborhoodCheck(*_neighborhood_structure(g))
+    nbr = [set(row) for row in g.neighbor_lists]
+    for u, v, w, x in _three_edge_paths(g):
+        if not any(y in nbr[u] for y in nbr[x] - {u, v, w}):
+            return False, {"check": "3-edge path not on a 5-cycle", "path": [u, v, w, x]}
+    return True, None
 
 
 def verify_claims(g: CubicGraph) -> ClaimReport:

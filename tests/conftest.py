@@ -14,6 +14,8 @@ The small named graphs exercised throughout the suite:
 * prism15: the 15-prism C15 x K2 (n = 30), too large for any search
   over vertex subsets
 * prisms: the k-prisms C_k x K2 for k = 3..15, keyed by k
+* prism5000: the 2500-prism (n = 5000), deeper than the interpreter's
+  recursion limit for a search that recurses once per match
 * no_perfect_matching10: three bridges from one vertex, each to a
   triangle with a doubled edge (n = 10); removing that vertex leaves
   three odd components, so it has no perfect matching
@@ -118,6 +120,11 @@ def prism32() -> CubicGraph:
 @pytest.fixture(scope="session")
 def prism50() -> CubicGraph:
     return _k_prism(50)
+
+
+@pytest.fixture(scope="session")
+def prism5000() -> CubicGraph:
+    return _k_prism(2500)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's clever paths: labeled
 enumeration is plain backtracking over endpoint pairs, isomorphism goes
 through all n! permutations, matchings come from subsets of the edge
 list, and cuts from edge triples or vertex bipartitions. Slow but
-obviously correct at the sizes the tests use them. The canonicity
+obviously correct at the sizes the tests use them. Tutte's condition
+counts the odd components left by one vertex subset, so a graph has a
+perfect matching iff no subset of its 2^n fails it. The canonicity
 oracle is a depth-first lexmin search, independent of the package's
 breadth-first one; the certificate oracle is that breadth-first search
 as it was before cells, keeping one relabeling per permutation of a
@@ -26,7 +28,7 @@ conditions in turn, where the package scans the 3-edge paths alone.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from cubicscan.graphs import CubicGraph
 from cubicscan.matching import (
@@ -363,6 +365,39 @@ def brute_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
         if mapped == target:
             return True
     return False
+
+
+class TutteCheck(NamedTuple):
+    odd_components: int
+    satisfied: bool
+
+
+def tutte_condition(g: CubicGraph, subset: set[int]) -> TutteCheck:
+    """Count odd components of g - S and compare against |S|.
+
+    The graph has a perfect matching iff the check is satisfied for
+    every vertex subset S.
+    """
+    removed = set(subset)
+    if not removed <= set(range(g.n)):
+        raise ValueError("subset contains vertices outside the graph")
+    seen = [False] * g.n
+    odd = 0
+    for start in range(g.n):
+        if seen[start] or start in removed:
+            continue
+        size = 0
+        stack = [start]
+        seen[start] = True
+        while stack:
+            u = stack.pop()
+            size += 1
+            for w, _ in g.adjacency[u]:
+                if not seen[w] and w not in removed:
+                    seen[w] = True
+                    stack.append(w)
+        odd += size % 2
+    return TutteCheck(odd_components=odd, satisfied=odd <= len(removed))
 
 
 def brute_perfect_matchings(g: CubicGraph) -> set[frozenset[int]]:

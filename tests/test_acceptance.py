@@ -38,7 +38,6 @@ from cubicscan.matching import (
     exists_pm_with_edge_pair,
     exists_triangle_free_two_factor,
     exists_two_factor_through_edges,
-    tutte_condition,
 )
 from cubicscan.verifier import verify_petersen_uniqueness
 from oracles import (
@@ -47,6 +46,7 @@ from oracles import (
     brute_perfect_matchings,
     dfs_is_canonical_labeling,
     isomorphism_classes,
+    tutte_condition,
 )
 
 

@@ -12,12 +12,12 @@ from cubicscan.connectivity import (
     find_square_triangle_pair,
     find_two_cycle,
     girth,
-    has_only_trivial_3_edge_cuts,
     is_connected,
 )
 from cubicscan.errors import DisconnectedError
 from cubicscan.graphs import CubicGraph
 from cubicscan.enumeration import generate_cubic_graphs
+from cubicscan.verifier import verify_claims
 from oracles import (
     brute_3_cut_edge_sets,
     brute_edge_cuts_by_bipartition,
@@ -239,7 +239,15 @@ def test_edge_cuts_reject_k_below_one(k4):
             edge_cuts(k4, k)
 
 
-def test_trivial_cut_predicate(petersen_graph, k4, prism):
-    assert has_only_trivial_3_edge_cuts(petersen_graph)
-    assert has_only_trivial_3_edge_cuts(k4)
-    assert not has_only_trivial_3_edge_cuts(prism)
+def test_trivial_cut_predicate(petersen_graph, k4, prism, small_graphs):
+    # C7 is the one answer to "is every 3-edge cut a vertex star?"
+    def c7(g):
+        return verify_claims(g).claim_results["C7"].holds
+
+    assert c7(petersen_graph)
+    assert c7(k4)
+    assert not c7(prism)
+    for g in small_graphs:
+        if g.n <= 8:
+            stars = {frozenset(eid for _, eid in row) for row in g.adjacency}
+            assert c7(g) == (brute_3_cut_edge_sets(g) <= stars), g.edges

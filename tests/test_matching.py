@@ -1,5 +1,6 @@
 """Perfect matchings, 2-factors, spectra, and the matching predicates."""
 
+import time
 from itertools import combinations, zip_longest
 
 import pytest
@@ -19,7 +20,6 @@ from cubicscan.matching import (
     exists_triangle_free_two_factor,
     exists_two_factor_through_edges,
     five_cycle_premise_witness,
-    tutte_condition,
     two_factor_spectra,
 )
 from cubicscan.matching import _matching_search
@@ -27,6 +27,7 @@ from oracles import (
     brute_perfect_matchings,
     premise_witness_by_two_factors,
     triangle_free_two_factor_by_two_factors,
+    tutte_condition,
     unpruned_perfect_matchings,
 )
 
@@ -80,6 +81,29 @@ def test_searches_from_one_setup_run_interleaved(petersen_graph, prisms, doubled
             interleaved = list(zip_longest(search(), search(eid)))
             assert [a for a, _ in interleaved] == list(_matching_search(g)())
             assert [b for _, b in interleaved if b is not None] == list(_matching_search(g)(eid))
+
+
+def test_forced_searches_yield_the_matchings_through_their_edge(
+    small_graphs, triple_edge, doubled_edge_ring
+):
+    # a forced edge can cover every vertex at once, alone (triple_edge)
+    # or with the vertices its propagation matches (K4)
+    for g in (*small_graphs, triple_edge, doubled_edge_ring):
+        search = _matching_search(g)
+        every = enumerate_perfect_matchings(g)
+        for eid in range(len(g.edges)):
+            assert list(search(eid)) == [m for m in every if eid in m]
+
+
+def test_matching_search_is_not_bounded_by_the_recursion_limit(prism5000):
+    # one branching per matched pair: 2,500 nested calls would overflow
+    # the interpreter's stack; a stack of child generators answers at once
+    start = time.perf_counter()
+    assert exists_perfect_matching(prism5000)
+    assert exists_pm_with_edge(prism5000, 0)
+    witness = five_cycle_premise_witness(prism5000)
+    assert witness is not None and 4 in witness["spectrum"]
+    assert time.perf_counter() - start < 30
 
 
 def test_prism_matching_counts_follow_the_lucas_numbers(prisms):

@@ -6,12 +6,11 @@ import pytest
 
 from cubicscan.connectivity import girth
 from cubicscan.enumeration import generate_cubic_graphs
-from cubicscan.errors import DisconnectedError, DuplicateGraphError, PreconditionError
+from cubicscan.errors import DisconnectedError, DuplicateGraphError
 from cubicscan.graphs import CubicGraph, canonical_form, is_isomorphic, relabeled
 from cubicscan.verifier import (
     CLAIM_IDS,
     verify_claims,
-    verify_neighborhood_structure,
     verify_petersen_uniqueness,
 )
 from oracles import (
@@ -167,16 +166,18 @@ def test_verify_claims_rejects_disconnected(two_k4s_disconnected_edges):
         verify_claims(g)
 
 
+def _final(g):
+    result = verify_claims(g).claim_results["FINAL"]
+    return result.holds, result.witness
+
+
 def test_neighborhood_structure_on_petersen(petersen_graph):
-    check = verify_neighborhood_structure(petersen_graph)
-    assert check.holds and check.witness is None
+    assert _final(petersen_graph) == (True, None)
 
 
 def test_neighborhood_structure_preconditions(k33, heawood):
-    with pytest.raises(PreconditionError):
-        verify_neighborhood_structure(k33)  # girth 4
-    with pytest.raises(PreconditionError):
-        verify_neighborhood_structure(heawood)  # girth 6, no 5-cycles at all
+    assert _final(k33) == (False, {"girth": 4})
+    assert _final(heawood) == (False, {"girth": 6})  # no 5-cycles at all
 
 
 def test_neighborhood_structure_fails_on_other_girth5_graphs():
@@ -185,9 +186,10 @@ def test_neighborhood_structure_fails_on_other_girth5_graphs():
     for g in generate_cubic_graphs(12):
         if girth(g) == 5:
             found += 1
-            check = verify_neighborhood_structure(g)
-            assert not check.holds
-            assert check.witness is not None
+            holds, witness = _final(g)
+            assert not holds
+            assert witness == neighborhood_structure_by_parts(g)[1]
+            assert witness is not None
     assert found > 0
 
 
@@ -211,7 +213,7 @@ def test_neighborhood_structure_equals_the_three_part_oracle(
     holding = 0
     for g in [*generated, *random_girth5_graphs, *relabelings]:
         expected = neighborhood_structure_by_parts(g)
-        assert tuple(verify_neighborhood_structure(g)) == expected
+        assert _final(g) == expected
         holding += expected[0]
         # the half of the argument that the 3-edge-path scan does not
         # test: no 2-edge path lies on more than two 5-cycles
