@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegreeError, LoopError, OddVertexCountError
+from .errors import ConstructionError, DegreeError, LoopError, OddVertexCountError
 
 __all__ = [
     "CubicGraph",
@@ -76,6 +76,8 @@ class CubicGraph:
                 raise LoopError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise DegreeError(f"edge ({u}, {v}) has an endpoint outside [0, {self.n})")
+            if u > v:
+                raise ConstructionError(f"edge ({u}, {v}) is not ordered u < v; use from_edge_list")
             degree[u] += 1
             degree[v] += 1
         bad = [v for v, d in enumerate(degree) if d != 3]

@@ -66,7 +66,6 @@ __all__ = [
     "all_two_factors_are_five_cycles",
     "exists_pm_with_edge",
     "exists_pm_avoiding_edge",
-    "exists_pm_with_edge_pair",
     "exists_two_factor_through_edges",
     "exists_triangle_free_two_factor",
 ]
@@ -393,16 +392,6 @@ def exists_pm_avoiding_edge(g: CubicGraph, eid: int) -> bool:
     """Some perfect matching avoids the edge with this id."""
     _check_edge_ids(g, eid)
     return _exists(g, avoided=(eid,))
-
-
-def exists_pm_with_edge_pair(g: CubicGraph, eid: int, fid: int) -> bool:
-    """Some perfect matching contains both edges; they must be disjoint."""
-    _check_edge_ids(g, eid, fid)
-    if eid == fid:
-        raise ValueError("the two edges must be distinct")
-    if set(g.edges[eid]) & set(g.edges[fid]):
-        raise ValueError("the two edges must not share an endpoint")
-    return _exists(g, (eid, fid))
 
 
 def exists_two_factor_through_edges(g: CubicGraph, eid: int, fid: int) -> bool:

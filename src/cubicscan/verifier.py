@@ -1,5 +1,5 @@
-"""Structural claim checks on a single graph, and the 10-vertex
-uniqueness check for the all-5-cycle property.
+"""Structural claim checks on a single graph, from C1 to the 10-vertex
+uniqueness of the Petersen graph (PROP4).
 
 ``verify_claims`` evaluates every claim predicate unconditionally, so
 the resulting report doubles as a structural profile of the graph even
@@ -31,10 +31,10 @@ Claim ids:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import connectivity, matching
-from .errors import DisconnectedError, DuplicateGraphError
+from .errors import DisconnectedError
 from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
 from .matching import _matched_edge_ids, _matching_search
 
@@ -43,7 +43,6 @@ __all__ = [
     "ClaimResult",
     "ClaimReport",
     "verify_claims",
-    "verify_petersen_uniqueness",
 ]
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "FINAL", "PROP4")
@@ -87,8 +86,7 @@ def _three_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int, int]]:
                 continue  # orient the middle edge
             for u in set(nbr[v]) - {w}:
                 for x in set(nbr[w]) - {v, u}:
-                    if u != x:
-                        yield (u, v, w, x)
+                    yield (u, v, w, x)
 
 
 def _check_c8(g: CubicGraph) -> ClaimResult:
@@ -182,12 +180,10 @@ def verify_claims(g: CubicGraph) -> ClaimReport:
     girth_value = connectivity.girth(g)
     if girth_value == 5:
         results["C5"] = ClaimResult(True)
-    else:
-        short: object = None
-        if girth_value == 2:
-            short = {"parallel_edge_ids": list(two_cycle)}
-        elif girth_value in (3, 4):
-            short = {"cycle": list(connectivity.find_cycle_of_length(g, girth_value))}
+    else:  # a 2-cycle is C1's witness and a triangle C4's; girth 6+ has none
+        short = {2: results["C1"].witness, 3: results["C4"].witness}.get(girth_value)
+        if girth_value == 4:
+            short = {"cycle": list(connectivity.find_cycle_of_length(g, 4))}
         results["C5"] = ClaimResult(False, {"girth": girth_value, "witness": short})
 
     lam = connectivity.edge_connectivity(g)
@@ -230,22 +226,3 @@ def verify_claims(g: CubicGraph) -> ClaimReport:
         claim_results=results,
         is_petersen=petersen_like,
     )
-
-
-def verify_petersen_uniqueness(stream: Iterable[CubicGraph]) -> bool:
-    """Among all connected cubic simple graphs on 10 vertices, exactly one
-    has girth 5 and it is the Petersen graph.
-
-    The stream must be duplicate-free up to isomorphism; duplicate
-    certificates raise DuplicateGraphError.
-    """
-    seen: set[bytes] = set()
-    girth_five: list[CubicGraph] = []
-    for g in stream:
-        cert = canonical_form(g).certificate
-        if cert in seen:
-            raise DuplicateGraphError("stream contains isomorphic duplicates")
-        seen.add(cert)
-        if connectivity.girth(g) == 5:
-            girth_five.append(g)
-    return len(girth_five) == 1 and is_isomorphic(girth_five[0], petersen())

@@ -35,15 +35,15 @@ from cubicscan.matching import (
     exists_perfect_matching,
     exists_pm_avoiding_edge,
     exists_pm_with_edge,
-    exists_pm_with_edge_pair,
     exists_triangle_free_two_factor,
     exists_two_factor_through_edges,
 )
-from cubicscan.verifier import verify_petersen_uniqueness
+from cubicscan.verifier import verify_claims
 from oracles import (
     brute_3_cut_edge_sets,
     brute_edge_connectivity,
     brute_perfect_matchings,
+    c8_by_enumeration,
     dfs_is_canonical_labeling,
     isomorphism_classes,
     tutte_condition,
@@ -170,7 +170,9 @@ def test_criterion_03_petersen_uniqueness_among_19(capsys, simple_graphs):
     girth_five = [g for g in generated if girth(g) == 5]
     assert len(girth_five) == 1
     assert is_isomorphic(girth_five[0], petersen())
-    assert verify_petersen_uniqueness(generated)
+    reports = [verify_claims(g) for g in generated]
+    assert all(report.claim_results["PROP4"].holds for report in reports)
+    assert sum(report.is_petersen for report in reports) == 1
     _announce(capsys, 3, "19 cubic graphs on 10 vertices, one of girth 5: Petersen")
 
 
@@ -205,17 +207,12 @@ def test_criterion_05_edge_corollaries(capsys, simple_graphs, multi_graphs):
 
 def test_criterion_06_claim8_and_double_five_cycles_on_petersen(capsys):
     g = petersen()
-    edge_id_of = {pair: eid for eid, pair in enumerate(g.edges)}
     nbr = [set(row) for row in g.neighbor_lists]
-    three_paths = 0
-    for v, w in g.edges:
-        for u in nbr[v] - {w}:
-            for x in nbr[w] - {v, u}:
-                eid = edge_id_of[(min(u, v), max(u, v))]
-                fid = edge_id_of[(min(w, x), max(w, x))]
-                assert exists_pm_with_edge_pair(g, eid, fid)
-                three_paths += 1
+    three_paths = sum(1 for v, w in g.edges for u in nbr[v] - {w} for x in nbr[w] - {v, u})
     assert three_paths == 60
+    c8 = verify_claims(g).claim_results["C8"]
+    assert c8 == c8_by_enumeration(g)
+    assert c8.holds
 
     def five_cycles_through(u, v, w):
         cycles = set()

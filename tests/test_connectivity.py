@@ -94,17 +94,16 @@ def test_girth_matches_networkx_on_simple_graphs():
             assert girth(g) == nx.girth(nx.Graph(list(g.edges)))
 
 
-def test_girth_consistent_with_detectors():
-    for n in (4, 6, 8):
-        for g in generate_cubic_graphs(n, allow_multi=True):
-            value = girth(g)
-            assert (value == 2) == (find_two_cycle(g) is not None)
-            assert (value <= 3) == (
-                find_two_cycle(g) is not None or find_cycle_of_length(g, 3) is not None
-            )
-            if value >= 5:
-                assert find_cycle_of_length(g, 3) is None
-                assert find_cycle_of_length(g, 4) is None
+def test_girth_consistent_with_detectors(small_graphs, random_multigraphs, doubled_edge_ring):
+    for g in [*small_graphs, *random_multigraphs, doubled_edge_ring]:
+        value = girth(g)
+        assert g.has_parallel_edges == (value == 2) == (find_two_cycle(g) is not None)
+        assert (value <= 3) == (
+            find_two_cycle(g) is not None or find_cycle_of_length(g, 3) is not None
+        )
+        if value >= 5:
+            assert find_cycle_of_length(g, 3) is None
+            assert find_cycle_of_length(g, 4) is None
 
 
 def test_find_two_cycle(triple_edge, petersen_graph, k4):

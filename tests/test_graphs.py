@@ -7,7 +7,7 @@ import pytest
 
 import cubicscan.graphs
 from cubicscan.enumeration import generate_cubic_graphs
-from cubicscan.errors import DegreeError, LoopError, OddVertexCountError
+from cubicscan.errors import ConstructionError, DegreeError, LoopError, OddVertexCountError
 from cubicscan.graphs import (
     CubicGraph,
     canonical_form,
@@ -63,6 +63,11 @@ def test_odd_vertex_count_rejected():
 def test_endpoint_out_of_range_rejected():
     with pytest.raises(DegreeError):
         from_edge_list(4, ALL_K4_PAIRS[:-1] + [(2, 4)])
+
+
+def test_edge_stored_larger_endpoint_first_rejected():
+    with pytest.raises(ConstructionError, match=r"edge \(1, 0\).*from_edge_list"):
+        CubicGraph(n=4, edges=((0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3)))
 
 
 def test_petersen_has_ten_vertices_fifteen_edges(petersen_graph):

@@ -16,7 +16,6 @@ from cubicscan.matching import (
     exists_perfect_matching,
     exists_pm_avoiding_edge,
     exists_pm_with_edge,
-    exists_pm_with_edge_pair,
     exists_triangle_free_two_factor,
     exists_two_factor_through_edges,
     five_cycle_premise_witness,
@@ -318,25 +317,6 @@ def test_triple_edge_corollaries(triple_edge):
         assert exists_pm_avoiding_edge(triple_edge, eid)
 
 
-def test_pm_with_edge_pair(k4, petersen_graph):
-    first = enumerate_perfect_matchings(k4)[0]
-    eid, fid = sorted(first)
-    assert exists_pm_with_edge_pair(k4, eid, fid)
-    with pytest.raises(ValueError):
-        exists_pm_with_edge_pair(k4, 0, 0)
-    with pytest.raises(ValueError):
-        exists_pm_with_edge_pair(k4, 0, 1)  # edges share vertex 0
-
-
-def test_pm_with_edge_pair_matches_enumeration(k33):
-    matchings = enumerate_perfect_matchings(k33)
-    for eid, fid in combinations(range(len(k33.edges)), 2):
-        if set(k33.edges[eid]) & set(k33.edges[fid]):
-            continue
-        expected = any(eid in m and fid in m for m in matchings)
-        assert exists_pm_with_edge_pair(k33, eid, fid) == expected
-
-
 def test_two_factor_through_edges(petersen_graph, k4, bridged8):
     for g in (petersen_graph, k4):
         for eid, fid in combinations(range(len(g.edges)), 2):
@@ -361,9 +341,6 @@ def test_edge_queries_equal_the_enumeration_answers(doubled_edge_ring, random_mu
         for eid, fid in combinations(range(len(g.edges)), 2):
             avoided = any(eid not in m and fid not in m for m in matchings)
             assert exists_two_factor_through_edges(g, eid, fid) == avoided
-            if not set(g.edges[eid]) & set(g.edges[fid]):
-                both = any(eid in m and fid in m for m in matchings)
-                assert exists_pm_with_edge_pair(g, eid, fid) == both
 
 
 def test_edge_queries_reject_ids_out_of_range(k4):
@@ -372,10 +349,6 @@ def test_edge_queries_reject_ids_out_of_range(k4):
             exists_pm_with_edge(k4, eid)
         with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
             exists_pm_avoiding_edge(k4, eid)
-        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
-            exists_pm_with_edge_pair(k4, eid, 0)
-        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
-            exists_pm_with_edge_pair(k4, 5, eid)
         with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
             exists_two_factor_through_edges(k4, eid, -2)
         with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
