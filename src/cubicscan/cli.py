@@ -230,7 +230,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone: send the rest to devnull, so that the
         # interpreter's last flush of stdout has nothing to complain about
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
     except (CubicGraphError, OSError, ValueError) as exc:
         print(f"cubicscan: error: {exc}", file=sys.stderr)

@@ -157,6 +157,15 @@ def parse_graph6(text: bytes | str) -> CubicGraph:
     return from_edge_list(n, edges)
 
 
+def _int_pair(line: str, form: str) -> tuple[int, int]:
+    """The two integers of a line; FormatError naming the expected form otherwise."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError as exc:
+        raise FormatError(f"{form}, got {line!r}") from exc
+    return a, b
+
+
 def parse_edgelist(text: bytes | str) -> CubicGraph:
     """Parse the plain-text format: first line ``n m``, then m lines ``u v``."""
     if isinstance(text, bytes):
@@ -164,25 +173,10 @@ def parse_edgelist(text: bytes | str) -> CubicGraph:
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not lines:
         raise FormatError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"edge-list header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"edge-list header must be 'n m', got {lines[0]!r}") from exc
+    n, m = _int_pair(lines[0], "edge-list header must be 'n m'")
     if len(lines) - 1 != m:
         raise FormatError(f"edge-list declares {m} edges but has {len(lines) - 1} lines")
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"edge line must be 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"edge line must be 'u v', got {line!r}") from exc
-    return from_edge_list(n, edges)
+    return from_edge_list(n, [_int_pair(line, "edge line must be 'u v'") for line in lines[1:]])
 
 
 def emit_edgelist(g: CubicGraph) -> str:

@@ -16,13 +16,12 @@ chains of single children. Enumeration order and the premise witness
 are therefore those of the plain search, which the test suite keeps as
 an ordered oracle.
 
-The search can start with edges already matched. Every ``exists_*``
-predicate is its argument checks plus one call of ``_exists``, which
-asks first-leaf queries of that kind: one for required edges, and an
-avoided edge uv becomes a choice of the other two edges at u, since a
-matching avoids uv exactly when it matches u by another edge.
-``_matching_search(g)`` does the per-graph setup once and returns the
-search, so a caller with many such questions about one graph, as the
+The search can start with edges already matched, and its setup can
+leave edges out: each ``exists_*`` predicate on edges is its checks
+plus one first-leaf query in ``_exists``, since a matching avoids an
+edge exactly when it is a perfect matching of the graph without that
+edge. ``_matching_search(g)`` does the per-graph setup once and returns
+the search, so a caller with many questions about one graph, as the
 verifier's claim C8 asks one per 3-edge path, pays for it once.
 
 Every premise answer reads only cycle lengths: the paper's premise is
@@ -46,7 +45,6 @@ results are value snapshots, safe to share across threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .errors import MatchingError, MultigraphError
@@ -100,17 +98,19 @@ class TwoFactor:
         return frozenset(eid for cycle in self.cycles for eid in cycle.edge_ids)
 
 
-def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
+def _matching_search(
+    g: CubicGraph, avoided: frozenset[int] = frozenset()
+) -> Callable[..., Iterator[PerfectMatching]]:
     """The per-graph setup of the perfect matching search.
 
-    The returned ``search(*forced)`` enumerates depth-first over vertex
-    bitmasks, branching on the lowest uncovered vertex and matching
-    forced vertices at once. ``forced`` holds ids of pairwise disjoint
-    edges; the search starts with them matched, so it yields exactly the
-    perfect matchings that contain them. Branches follow ascending
-    (neighbor, edge id) order; parallel edges are explored as distinct
-    branches. Each call has its own state, so searches from one setup
-    can run interleaved.
+    The returned ``search(*forced)`` runs on g without the ``avoided``
+    edge ids. It enumerates depth-first over vertex bitmasks, branching
+    on the lowest uncovered vertex and matching forced vertices at once.
+    ``forced`` holds ids of pairwise disjoint edges; the search starts
+    with them matched, so it yields exactly the perfect matchings that
+    contain them. Branches follow ascending (neighbor, edge id) order;
+    parallel edges are explored as distinct branches. Each call has its
+    own state, so searches from one setup can run interleaved.
 
     After each match the search propagates, as unit propagation does
     (Davis, Logemann and Loveland, 1962). A worklist bitmask holds the
@@ -141,17 +141,20 @@ def _matching_search(g: CubicGraph) -> Callable[..., Iterator[PerfectMatching]]:
     does not meet the interpreter's recursion limit.
     """
     full = (1 << g.n) - 1
+    # avoided edges stay in the masks: a vertex joined to its last
+    # uncovered neighbor only by them is not forced, and dies on branching
     neighbor_mask = [1 << a | 1 << b | 1 << c for a, b, c in g.neighbor_lists]
     # the id of the edge joining two vertices, keyed by their two bits;
     # None for two vertices joined by parallel edges
     pair_edge: dict[int, int | None] = {}
     for eid, (u, v) in enumerate(g.edges):
-        pair = 1 << u | 1 << v
-        pair_edge[pair] = None if pair in pair_edge else eid
+        if eid not in avoided:
+            pair = 1 << u | 1 << v
+            pair_edge[pair] = None if pair in pair_edge else eid
     # per vertex v, one (bit of w, w, edge id, worklist) per edge vw in
     # adjacency order; the worklist holds the neighbors of v and of w
     branches = [
-        [(1 << w, w, eid, neighbor_mask[v] | neighbor_mask[w]) for w, eid in row]
+        [(1 << w, w, e, neighbor_mask[v] | neighbor_mask[w]) for w, e in row if e not in avoided]
         for v, row in enumerate(g.adjacency)
     ]
 
@@ -365,21 +368,8 @@ def _check_edge_ids(g: CubicGraph, *ids: int) -> None:
 
 
 def _exists(g: CubicGraph, required: tuple[int, ...] = (), avoided: tuple[int, ...] = ()) -> bool:
-    """Some perfect matching holds every required edge and no avoided one.
-
-    A matching avoids uv exactly when it matches u by another edge, so each
-    avoided edge becomes a choice of one of the other two edges at its first
-    endpoint. Choices run in ``product`` order; one made twice is asked once,
-    and a set of edges that share an endpoint is not asked.
-    """
-    search = _matching_search(g)
-    choices = [[o for _, o in g.adjacency[g.edges[e][0]] if o != e] for e in avoided]
-    for chosen in product(*choices):
-        forced = (*required, *dict.fromkeys(chosen))
-        ends = [v for eid in forced for v in g.edges[eid]]
-        if len(set(ends)) == len(ends) and next(search(*forced), None) is not None:
-            return True
-    return False
+    """Some perfect matching of g without the avoided edges holds the required ones."""
+    return next(_matching_search(g, frozenset(avoided))(*required), None) is not None
 
 
 def exists_pm_with_edge(g: CubicGraph, eid: int) -> bool:

@@ -9,8 +9,8 @@ in :mod:`cubicscan.enumeration` asserts exactly that.
 
 No claim enumerates perfect matchings. C8 sets up the matching search
 once per graph and asks it a first-leaf query for each 3-edge path that
-no matching found so far answers, so the cost of ``verify_claims`` does
-not follow the matching count.
+no matching found so far answers. The premise walks the matchings in
+order until one has a cycle of another length; on Petersen it walks all six.
 
 Claim ids:
   C1  no cycle of length two (no parallel edge pair)
@@ -78,7 +78,10 @@ class ClaimReport:
 
 
 def _three_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int, int]]:
-    """All paths u-v-w-x on four distinct vertices, one orientation each."""
+    """All paths u-v-w-x on four distinct vertices, one orientation each,
+    in the ``set`` order of the neighbours: CPython's slot order for small
+    ints, not ascending (``list(set([3, 4, 11]))`` is ``[11, 3, 4]``), so
+    C8's and FINAL's witness, the first failing path, follows it too."""
     nbr = g.neighbor_lists
     for v in range(g.n):
         for w in set(nbr[v]):

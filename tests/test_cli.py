@@ -312,6 +312,23 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     assert stderr == b""
 
 
+def test_closed_stdout_in_process_leaves_no_descriptor_open(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["generate", "--n", "10"]) == 141
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_scan_without_n_max_or_input_exits_two(capsys):
+    assert main(["scan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "cubicscan: error: scan requires --n-max\n"
+    assert captured.out == ""
+
+
 def test_stdin_input(capsys, monkeypatch, petersen_graph):
     import io
 

@@ -150,6 +150,11 @@ def test_auto_detects_all_three_formats(petersen_graph, k4):
     assert is_isomorphic(parse_auto(emit_sparse6(petersen_graph)), petersen_graph)
     assert is_isomorphic(parse_auto(emit_edgelist(k4)), k4)
     assert is_isomorphic(parse_auto(b"C~"), k4)
+    assert is_isomorphic(parse_auto(b">>graph6<<C~"), k4)
+
+
+def test_sparse6_stops_at_a_trailing_group_past_the_last_vertex(k4):
+    assert sorted(parse_sparse6(emit_sparse6(k4) + b"~").edges) == sorted(k4.edges)
 
 
 def test_iter_graph_lines_skips_blanks(k4, prism):
@@ -219,6 +224,10 @@ def test_codec_matches_networkx_on_every_generated_graph(prism32, prism50):
         (parse_graph6, b"C", FormatError, "graph6 body has 0 bytes, expected 1 for n=4"),
         # a byte out of range and the wrong length: the range check fires first
         (parse_graph6, b"C~0", FormatError, "graph6 body contains bytes outside 63..126"),
+        (parse_edgelist, b"", FormatError, "empty edge-list input"),
+        (parse_edgelist, b"4 6 1", FormatError, "edge-list header must be 'n m', got '4 6 1'"),
+        (parse_edgelist, b"1 1\n0", FormatError, "edge line must be 'u v', got '0'"),
+        (parse_edgelist, b"1 1\n0 x", FormatError, "edge line must be 'u v', got '0 x'"),
     ],
 )
 def test_malformed_encodings_get_their_messages(parser, data, error, message):

@@ -50,6 +50,19 @@ def test_missing_edge_is_a_degree_violation():
         from_edge_list(4, ALL_K4_PAIRS[:-1])
 
 
+def test_constructor_names_the_vertices_without_degree_3():
+    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 2))
+    with pytest.raises(DegreeError) as info:
+        CubicGraph(n=4, edges=edges)
+    assert str(info.value) == "vertices [1, 3] do not have degree 3"
+
+
+def test_relabeled_rejects_a_mapping_that_is_not_a_permutation(k4):
+    with pytest.raises(ValueError) as info:
+        relabeled(k4, [0, 0, 1, 2])
+    assert str(info.value) == "mapping is not a permutation of the vertex set"
+
+
 def test_loop_rejected():
     with pytest.raises(LoopError):
         from_edge_list(4, ALL_K4_PAIRS[:-1] + [(3, 3)])

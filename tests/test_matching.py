@@ -86,12 +86,19 @@ def test_forced_searches_yield_the_matchings_through_their_edge(
     small_graphs, triple_edge, doubled_edge_ring
 ):
     # a forced edge can cover every vertex at once, alone (triple_edge)
-    # or with the vertices its propagation matches (K4)
+    # or with the vertices its propagation matches (K4); a search set up
+    # without some edges yields the matchings that avoid them, in order
     for g in (*small_graphs, triple_edge, doubled_edge_ring):
         search = _matching_search(g)
         every = enumerate_perfect_matchings(g)
-        for eid in range(len(g.edges)):
+        edge_ids = range(len(g.edges))
+        for eid in edge_ids:
             assert list(search(eid)) == [m for m in every if eid in m]
+        avoided = [{e} for e in edge_ids]
+        if g.n <= 8:
+            avoided += [{e, f} for e in edge_ids for f in edge_ids if e < f]
+        for ids in map(frozenset, avoided):
+            assert list(_matching_search(g, ids)()) == [m for m in every if not m & ids]
 
 
 def test_matching_search_is_not_bounded_by_the_recursion_limit(prism5000):
@@ -353,6 +360,12 @@ def test_edge_queries_reject_ids_out_of_range(k4):
             exists_two_factor_through_edges(k4, eid, -2)
         with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
             exists_two_factor_through_edges(k4, 0, eid)
+
+
+def test_two_factor_query_rejects_one_edge_given_twice(k4):
+    with pytest.raises(ValueError) as info:
+        exists_two_factor_through_edges(k4, 0, 0)
+    assert str(info.value) == "the two edges must be distinct"
 
 
 def test_triangle_free_two_factor(k4, petersen_graph, triple_edge):
