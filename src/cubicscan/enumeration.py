@@ -59,7 +59,10 @@ DEFAULT_SIMPLE_LIMIT = 16
 DEFAULT_MULTI_LIMIT = 12
 
 
-def _check_generation_bounds(n: int, allow_multi: bool, limit: int | None) -> None:
+def _check_generation_bounds(n: int, allow_multi: bool) -> range:
+    """The vertex counts served up to n, the even ones from the floor (2
+    for multigraphs, 4 for simple graphs). Raises unless n is even, at
+    least the floor and at most DEFAULT_MULTI_LIMIT or DEFAULT_SIMPLE_LIMIT."""
     if n % 2:
         raise OddVertexCountError(f"no cubic graph has an odd vertex count (n={n})")
     floor = 2 if allow_multi else 4
@@ -67,11 +70,10 @@ def _check_generation_bounds(n: int, allow_multi: bool, limit: int | None) -> No
         raise GenerationLimitError(
             f"n={n} is below the smallest {'multigraph' if allow_multi else 'simple graph'} ({floor})"
         )
-    cap = limit if limit is not None else (
-        DEFAULT_MULTI_LIMIT if allow_multi else DEFAULT_SIMPLE_LIMIT
-    )
+    cap = DEFAULT_MULTI_LIMIT if allow_multi else DEFAULT_SIMPLE_LIMIT
     if n > cap:
         raise GenerationLimitError(f"n={n} exceeds the configured limit {cap}")
+    return range(floor, n + 1, 2)
 
 
 def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -170,12 +172,10 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
     yield from fill(0, 1, 1)
 
 
-def generate_cubic_graphs(
-    n: int, allow_multi: bool = False, limit: int | None = None
-) -> Iterator[CubicGraph]:
+def generate_cubic_graphs(n: int, allow_multi: bool = False) -> Iterator[CubicGraph]:
     """All connected cubic (multi)graphs on n vertices, one per
     isomorphism class, in ascending canonical edge-list order."""
-    _check_generation_bounds(n, allow_multi, limit)
+    _check_generation_bounds(n, allow_multi)
     for edges in _blockwise_labeled_graphs(n, allow_multi):
         yield CubicGraph(n=n, edges=edges)
 
@@ -226,7 +226,7 @@ class ScanReport:
         }
 
 
-def _scan_one_n(graphs: Iterable[CubicGraph], n: int) -> NScanStats:
+def _scan_one_n(graphs: Iterable[CubicGraph]) -> NScanStats:
     started = time.perf_counter()
     generated = bridgeless = 0
     positives = []
@@ -240,7 +240,7 @@ def _scan_one_n(graphs: Iterable[CubicGraph], n: int) -> NScanStats:
         cert = canonical_form(g).certificate
         positives.append(
             PositiveRecord(
-                n=n,
+                n=g.n,
                 certificate=cert.decode("ascii"),
                 sparse6=emit_sparse6(g).decode("ascii"),
                 is_petersen=is_isomorphic(g, petersen()),
@@ -262,13 +262,11 @@ def scan_theorem(n_max: int, allow_multi: bool = False) -> ScanReport:
     The expected outcome is a single positive, at n = 10, isomorphic to
     the Petersen graph (none at all when n_max < 10).
     """
-    _check_generation_bounds(n_max, allow_multi, None)
+    n_range = tuple(_check_generation_bounds(n_max, allow_multi))
     started = time.perf_counter()
-    lowest = 2 if allow_multi else 4
-    n_range = tuple(range(lowest, n_max + 1, 2))
     per_n = {}
     for n in n_range:
-        per_n[n] = _scan_one_n(generate_cubic_graphs(n, allow_multi), n)
+        per_n[n] = _scan_one_n(generate_cubic_graphs(n, allow_multi))
     return ScanReport(
         n_range=n_range,
         allow_multi=allow_multi,
@@ -302,7 +300,7 @@ def scan_corpus(graphs: Iterable[CubicGraph]) -> ScanReport:
     if not by_n:
         raise PreconditionError("corpus has no graphs")
     n_range = tuple(sorted(by_n))
-    per_n = {n: _scan_one_n(by_n[n], n) for n in n_range}
+    per_n = {n: _scan_one_n(by_n[n]) for n in n_range}
     return ScanReport(
         n_range=n_range,
         allow_multi=any_multi,

@@ -30,10 +30,10 @@ statement about the spectrum alone. ``two_factor_spectra`` and the
 premise functions therefore walk the 2-factor without building cycle
 objects. Per graph they store, for each edge id, the XOR of its two
 endpoints and, for each vertex, the sum of its three edge ids. Per
-matching they record each vertex's matched edge id; entering a vertex
-by edge ``e``, the walk leaves it by ``total[v] - e - matched[v]``, the
-one edge that is neither, and reaches ``v ^ ends_xor[e']``. Edge ids
-keep parallel edges apart, so a doubled edge still closes a 2-cycle.
+matching they take the search's leaf, each vertex's matched edge id;
+entering v by edge ``e``, the walk leaves by ``total[v] - e - matched[v]``,
+the one edge that is neither, and reaches ``v ^ ends_xor[e']``. Edge
+ids keep parallel edges apart, so a doubled edge still closes a 2-cycle.
 ``complementary_two_factor`` and ``cycle_spectrum`` remain for callers
 that need the cycles themselves, and the test suite checks that both
 give the same spectrum for every matching.
@@ -45,6 +45,7 @@ results are value snapshots, safe to share across threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from .errors import MatchingError, MultigraphError
@@ -100,7 +101,7 @@ class TwoFactor:
 
 def _matching_search(
     g: CubicGraph, avoided: frozenset[int] = frozenset()
-) -> Callable[..., Iterator[PerfectMatching]]:
+) -> Callable[..., Iterator[tuple[int, ...]]]:
     """The per-graph setup of the perfect matching search.
 
     The returned ``search(*forced)`` runs on g without the ``avoided``
@@ -131,10 +132,10 @@ def _matching_search(
     and chains of single children: the matchings, and their order, are
     those of the plain search, which the test suite keeps as an oracle.
 
-    Matched edge ids go into one per-vertex list, and a leaf yields
-    ``frozenset(matched)``, since each id appears there twice. Every
-    vertex covered on the path to a leaf was written when it was
-    covered, so entries left by abandoned branches never reach a leaf.
+    Each vertex's matched edge id goes into one list, and a leaf yields
+    it as a tuple, so each id appears twice. Every vertex covered on the
+    path to a leaf was written when it was covered, so entries left by
+    abandoned branches never reach a leaf.
 
     The path from the root is a stack of per-node child generators, not
     a chain of recursive calls, so a search up to n/2 branchings deep
@@ -158,7 +159,7 @@ def _matching_search(
         for v, row in enumerate(g.adjacency)
     ]
 
-    def search(*forced: int) -> Iterator[PerfectMatching]:
+    def search(*forced: int) -> Iterator[tuple[int, ...]]:
         matched = [-1] * g.n
 
         def propagate(covered: int, work: int) -> int | None:
@@ -208,7 +209,7 @@ def _matching_search(
             if covered is None:
                 stack.pop()
             elif covered == full:
-                yield frozenset(matched)
+                yield tuple(matched)
             else:
                 stack.append(children(covered))
 
@@ -217,7 +218,7 @@ def _matching_search(
 
 def enumerate_perfect_matchings(g: CubicGraph) -> tuple[PerfectMatching, ...]:
     """All perfect matchings as edge-id sets, in deterministic order."""
-    return tuple(_matching_search(g)())
+    return tuple(map(frozenset, _matching_search(g)()))
 
 
 def exists_perfect_matching(g: CubicGraph) -> bool:
@@ -290,21 +291,20 @@ def cycle_spectrum(factor: TwoFactor) -> CycleSpectrum:
     return tuple(sorted(len(cycle) for cycle in factor.cycles))
 
 
-def _spectrum_walk(g: CubicGraph) -> Callable[[Iterable[int]], CycleSpectrum]:
+def _spectrum_walk(g: CubicGraph) -> Callable[[list[int]], CycleSpectrum]:
     """The per-graph setup of the length-only 2-factor walk.
 
-    The returned function maps a perfect matching to the sorted cycle
-    lengths of its complementary 2-factor. It raises ``MatchingError``
-    as ``complementary_two_factor`` does, before the walk starts, so the
-    walk only ever follows a 2-factor and always closes its cycles.
+    The returned function maps a perfect matching, as a list of each
+    vertex's matched edge id, which it consumes, to the sorted cycle
+    lengths of its complementary 2-factor. It checks nothing: callers
+    pass search leaves or ids that ``_matched_edge_ids`` has checked.
     """
     ends_xor = [u ^ v for u, v in g.edges]
     ids = [(a, b, c) for (_, a), (_, b), (_, c) in g.adjacency]
     total = [a + b + c for a, b, c in ids]
 
-    def spectrum(matching: Iterable[int]) -> CycleSpectrum:
+    def spectrum(matched: list[int]) -> CycleSpectrum:
         # a vertex's entry becomes -1 once the walk has passed it
-        matched = _matched_edge_ids(g, matching)
         lengths = []
         for start, (a, b, _) in enumerate(ids):
             if matched[start] < 0:
@@ -333,7 +333,7 @@ def two_factor_spectra(
     Raises ``MatchingError``, as ``complementary_two_factor`` does, for
     ids that are not a perfect matching.
     """
-    return tuple(map(_spectrum_walk(g), matchings))
+    return tuple(map(_spectrum_walk(g), map(partial(_matched_edge_ids, g), matchings)))
 
 
 def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
@@ -348,11 +348,11 @@ def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
     """
     found = False
     spectrum = _spectrum_walk(g)
-    for matching in _matching_search(g)():
+    for leaf in _matching_search(g)():
         found = True
-        lengths = spectrum(matching)
+        lengths = spectrum(list(leaf))
         if any(length != 5 for length in lengths):
-            return {"matching": sorted(matching), "spectrum": list(lengths)}
+            return {"matching": sorted(set(leaf)), "spectrum": list(lengths)}
     return None if found else {"reason": "no perfect matching"}
 
 
@@ -397,4 +397,4 @@ def exists_triangle_free_two_factor(g: CubicGraph) -> bool:
     if g.has_parallel_edges:
         raise MultigraphError("triangle-free 2-factor check is defined for simple graphs")
     spectrum = _spectrum_walk(g)
-    return any(spectrum(m)[0] >= 4 for m in _matching_search(g)())
+    return any(spectrum(list(leaf))[0] >= 4 for leaf in _matching_search(g)())

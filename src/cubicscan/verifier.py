@@ -36,7 +36,7 @@ from typing import Iterator
 from . import connectivity, matching
 from .errors import DisconnectedError
 from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
-from .matching import _matched_edge_ids, _matching_search
+from .matching import _matching_search
 
 __all__ = [
     "CLAIM_IDS",
@@ -112,8 +112,7 @@ def _check_c8(g: CubicGraph) -> ClaimResult:
         found = next(search(e, f), None)
         if found is None:
             return ClaimResult(False, {"path": [u, v, w, x]})
-        at = _matched_edge_ids(g, found)
-        extends.update((at[a], at[b]) for a, b in g.edges)
+        extends.update((found[a], found[b]) for a, b in g.edges)
     return ClaimResult(True)
 
 

@@ -127,6 +127,12 @@ def prism5000() -> CubicGraph:
     return _k_prism(2500)
 
 
+@pytest.fixture
+def prism258048() -> CubicGraph:
+    # one vertex past sparse6's 18-bit size field; not kept for the session
+    return _k_prism(129024)
+
+
 @pytest.fixture(scope="session")
 def prisms() -> dict[int, CubicGraph]:
     return {k: _k_prism(k) for k in range(3, 16)}

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import cubicscan.enumeration
 from cubicscan.enumeration import (
     filter_bridgeless,
     generate_cubic_graphs,
@@ -84,7 +85,7 @@ def test_generator_emits_canonical_representatives_without_duplicates():
         assert edge_lists == sorted(edge_lists)
 
 
-def test_generator_bounds():
+def test_generator_bounds(monkeypatch):
     with pytest.raises(OddVertexCountError):
         list(generate_cubic_graphs(7))
     with pytest.raises(GenerationLimitError):
@@ -93,11 +94,14 @@ def test_generator_bounds():
         list(generate_cubic_graphs(18))
     with pytest.raises(GenerationLimitError):
         list(generate_cubic_graphs(14, allow_multi=True))
+    monkeypatch.setattr(cubicscan.enumeration, "DEFAULT_SIMPLE_LIMIT", 6)
     with pytest.raises(GenerationLimitError):
-        list(generate_cubic_graphs(8, limit=6))
-    # an explicit limit overrides the default cap
-    assert next(generate_cubic_graphs(14, allow_multi=True, limit=14)).n == 14
-    assert next(generate_cubic_graphs(18, limit=18)).n == 18
+        list(generate_cubic_graphs(8))
+    # the module constants are the caps, so raising them reaches further
+    monkeypatch.setattr(cubicscan.enumeration, "DEFAULT_MULTI_LIMIT", 14)
+    monkeypatch.setattr(cubicscan.enumeration, "DEFAULT_SIMPLE_LIMIT", 18)
+    assert next(generate_cubic_graphs(14, allow_multi=True)).n == 14
+    assert next(generate_cubic_graphs(18)).n == 18
 
 
 def test_filter_bridgeless(k4, triple_edge, bridged8):

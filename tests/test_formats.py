@@ -114,6 +114,12 @@ def test_truncated_extended_size_field_is_named():
         parse_graph6(b"~~??????")
 
 
+def test_sparse6_emission_rejects_a_vertex_count_above_258047(prism258048):
+    with pytest.raises(FormatError) as info:
+        emit_sparse6(prism258048)
+    assert str(info.value) == "cannot encode n=258048"
+
+
 def test_graph6_k4():
     g = parse_graph6(b"C~")
     assert g.n == 4 and len(g.edges) == 6

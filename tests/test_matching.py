@@ -21,7 +21,7 @@ from cubicscan.matching import (
     five_cycle_premise_witness,
     two_factor_spectra,
 )
-from cubicscan.matching import _matching_search
+from cubicscan.matching import _matched_edge_ids, _matching_search
 from oracles import (
     brute_perfect_matchings,
     premise_witness_by_two_factors,
@@ -82,6 +82,15 @@ def test_searches_from_one_setup_run_interleaved(petersen_graph, prisms, doubled
             assert [b for _, b in interleaved if b is not None] == list(_matching_search(g)(eid))
 
 
+def _leaf_matchings(g, leaves):
+    """The leaves of a search as edge-id sets, each leaf checked to be
+    every vertex's matched edge id."""
+    leaves = list(leaves)
+    for leaf in leaves:
+        assert leaf == tuple(_matched_edge_ids(g, frozenset(leaf)))
+    return list(map(frozenset, leaves))
+
+
 def test_forced_searches_yield_the_matchings_through_their_edge(
     small_graphs, triple_edge, doubled_edge_ring
 ):
@@ -93,12 +102,13 @@ def test_forced_searches_yield_the_matchings_through_their_edge(
         every = enumerate_perfect_matchings(g)
         edge_ids = range(len(g.edges))
         for eid in edge_ids:
-            assert list(search(eid)) == [m for m in every if eid in m]
+            assert _leaf_matchings(g, search(eid)) == [m for m in every if eid in m]
         avoided = [{e} for e in edge_ids]
         if g.n <= 8:
             avoided += [{e, f} for e in edge_ids for f in edge_ids if e < f]
         for ids in map(frozenset, avoided):
-            assert list(_matching_search(g, ids)()) == [m for m in every if not m & ids]
+            leaves = _matching_search(g, ids)()
+            assert _leaf_matchings(g, leaves) == [m for m in every if not m & ids]
 
 
 def test_matching_search_is_not_bounded_by_the_recursion_limit(prism5000):
