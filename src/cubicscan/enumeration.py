@@ -50,7 +50,6 @@ __all__ = [
     "NScanStats",
     "ScanReport",
     "generate_cubic_graphs",
-    "filter_bridgeless",
     "scan_theorem",
     "scan_corpus",
 ]
@@ -178,13 +177,6 @@ def generate_cubic_graphs(n: int, allow_multi: bool = False) -> Iterator[CubicGr
     _check_generation_bounds(n, allow_multi)
     for edges in _blockwise_labeled_graphs(n, allow_multi):
         yield CubicGraph(n=n, edges=edges)
-
-
-def filter_bridgeless(stream: Iterable[CubicGraph]) -> Iterator[CubicGraph]:
-    """Pass exactly the graphs with no bridge."""
-    for g in stream:
-        if not connectivity.bridges(g):
-            yield g
 
 
 @dataclass(frozen=True)

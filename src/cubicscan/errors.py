@@ -29,10 +29,6 @@ class DisconnectedError(CubicGraphError):
     """The operation requires a connected graph."""
 
 
-class MultigraphError(CubicGraphError):
-    """The operation is defined only for simple graphs."""
-
-
 class PreconditionError(CubicGraphError):
     """A documented precondition of the operation does not hold."""
 

@@ -123,6 +123,7 @@ def parse_sparse6(text: bytes | str) -> CubicGraph:
 
 def emit_sparse6(g: CubicGraph) -> bytes:
     """Canonical sparse6 byte form of the graph as labeled (no header)."""
+    size = _encode_size(g.n)  # refuses an oversized graph before the body is built
     k = _width(g.n)
     groups: list[str] = []
     v = 0
@@ -136,7 +137,7 @@ def emit_sparse6(g: CubicGraph) -> bytes:
     # pad with 1s; the format's extra 0 for n = 2^k is only due while
     # v < n - 1, and the last edge of a cubic graph ends at vertex n - 1
     bits += "1" * (-len(bits) % 6)
-    return b":" + _encode_size(g.n) + _pack(bits)
+    return b":" + size + _pack(bits)
 
 
 def parse_graph6(text: bytes | str) -> CubicGraph:

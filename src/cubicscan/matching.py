@@ -16,13 +16,11 @@ chains of single children. Enumeration order and the premise witness
 are therefore those of the plain search, which the test suite keeps as
 an ordered oracle.
 
-The search can start with edges already matched, and its setup can
-leave edges out: each ``exists_*`` predicate on edges is its checks
-plus one first-leaf query in ``_exists``, since a matching avoids an
-edge exactly when it is a perfect matching of the graph without that
-edge. ``_matching_search(g)`` does the per-graph setup once and returns
-the search, so a caller with many questions about one graph, as the
-verifier's claim C8 asks one per 3-edge path, pays for it once.
+The search can start with edges already matched, so it yields only
+the perfect matchings through them. ``_matching_search(g)`` does the
+per-graph setup once and returns the search, so a caller with many
+questions about one graph, as the verifier's claim C8 asks one
+first-leaf query per 3-edge path, pays for it once.
 
 Every premise answer reads only cycle lengths: the paper's premise is
 that each complementary 2-factor splits into 5-cycles, which is a
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .errors import MatchingError, MultigraphError
+from .errors import MatchingError
 from .graphs import CubicGraph
 
 __all__ = [
@@ -56,17 +54,12 @@ __all__ = [
     "FactorCycle",
     "TwoFactor",
     "CycleSpectrum",
-    "exists_perfect_matching",
     "enumerate_perfect_matchings",
     "complementary_two_factor",
     "cycle_spectrum",
     "two_factor_spectra",
     "five_cycle_premise_witness",
     "all_two_factors_are_five_cycles",
-    "exists_pm_with_edge",
-    "exists_pm_avoiding_edge",
-    "exists_two_factor_through_edges",
-    "exists_triangle_free_two_factor",
 ]
 
 PerfectMatching = frozenset[int]
@@ -99,19 +92,17 @@ class TwoFactor:
         return frozenset(eid for cycle in self.cycles for eid in cycle.edge_ids)
 
 
-def _matching_search(
-    g: CubicGraph, avoided: frozenset[int] = frozenset()
-) -> Callable[..., Iterator[tuple[int, ...]]]:
+def _matching_search(g: CubicGraph) -> Callable[..., Iterator[tuple[int, ...]]]:
     """The per-graph setup of the perfect matching search.
 
-    The returned ``search(*forced)`` runs on g without the ``avoided``
-    edge ids. It enumerates depth-first over vertex bitmasks, branching
-    on the lowest uncovered vertex and matching forced vertices at once.
-    ``forced`` holds ids of pairwise disjoint edges; the search starts
-    with them matched, so it yields exactly the perfect matchings that
-    contain them. Branches follow ascending (neighbor, edge id) order;
-    parallel edges are explored as distinct branches. Each call has its
-    own state, so searches from one setup can run interleaved.
+    The returned ``search(*forced)`` enumerates the perfect matchings of
+    g depth-first over vertex bitmasks, branching on the lowest
+    uncovered vertex and matching forced vertices at once. ``forced``
+    holds ids of pairwise disjoint edges; the search starts with them
+    matched, so it yields exactly the perfect matchings that contain
+    them. Branches follow ascending (neighbor, edge id) order; parallel
+    edges are explored as distinct branches. Each call has its own
+    state, so searches from one setup can run interleaved.
 
     After each match the search propagates, as unit propagation does
     (Davis, Logemann and Loveland, 1962). A worklist bitmask holds the
@@ -142,20 +133,17 @@ def _matching_search(
     does not meet the interpreter's recursion limit.
     """
     full = (1 << g.n) - 1
-    # avoided edges stay in the masks: a vertex joined to its last
-    # uncovered neighbor only by them is not forced, and dies on branching
     neighbor_mask = [1 << a | 1 << b | 1 << c for a, b, c in g.neighbor_lists]
     # the id of the edge joining two vertices, keyed by their two bits;
     # None for two vertices joined by parallel edges
     pair_edge: dict[int, int | None] = {}
     for eid, (u, v) in enumerate(g.edges):
-        if eid not in avoided:
-            pair = 1 << u | 1 << v
-            pair_edge[pair] = None if pair in pair_edge else eid
+        pair = 1 << u | 1 << v
+        pair_edge[pair] = None if pair in pair_edge else eid
     # per vertex v, one (bit of w, w, edge id, worklist) per edge vw in
     # adjacency order; the worklist holds the neighbors of v and of w
     branches = [
-        [(1 << w, w, e, neighbor_mask[v] | neighbor_mask[w]) for w, e in row if e not in avoided]
+        [(1 << w, w, e, neighbor_mask[v] | neighbor_mask[w]) for w, e in row]
         for v, row in enumerate(g.adjacency)
     ]
 
@@ -219,10 +207,6 @@ def _matching_search(
 def enumerate_perfect_matchings(g: CubicGraph) -> tuple[PerfectMatching, ...]:
     """All perfect matchings as edge-id sets, in deterministic order."""
     return tuple(map(frozenset, _matching_search(g)()))
-
-
-def exists_perfect_matching(g: CubicGraph) -> bool:
-    return _exists(g)
 
 
 def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
@@ -359,42 +343,3 @@ def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
 def all_two_factors_are_five_cycles(g: CubicGraph) -> bool:
     """The all-5-cycle premise: ``five_cycle_premise_witness`` finds none."""
     return five_cycle_premise_witness(g) is None
-
-
-def _check_edge_ids(g: CubicGraph, *ids: int) -> None:
-    for eid in ids:
-        if not 0 <= eid < len(g.edges):
-            raise ValueError(f"edge id {eid} out of range")
-
-
-def _exists(g: CubicGraph, required: tuple[int, ...] = (), avoided: tuple[int, ...] = ()) -> bool:
-    """Some perfect matching of g without the avoided edges holds the required ones."""
-    return next(_matching_search(g, frozenset(avoided))(*required), None) is not None
-
-
-def exists_pm_with_edge(g: CubicGraph, eid: int) -> bool:
-    """Some perfect matching contains the edge with this id."""
-    _check_edge_ids(g, eid)
-    return _exists(g, (eid,))
-
-
-def exists_pm_avoiding_edge(g: CubicGraph, eid: int) -> bool:
-    """Some perfect matching avoids the edge with this id."""
-    _check_edge_ids(g, eid)
-    return _exists(g, avoided=(eid,))
-
-
-def exists_two_factor_through_edges(g: CubicGraph, eid: int, fid: int) -> bool:
-    """Some 2-factor contains both edges, i.e. some matching avoids both."""
-    _check_edge_ids(g, eid, fid)
-    if eid == fid:
-        raise ValueError("the two edges must be distinct")
-    return _exists(g, avoided=(eid, fid))
-
-
-def exists_triangle_free_two_factor(g: CubicGraph) -> bool:
-    """Some 2-factor has minimum cycle length >= 4; simple graphs only."""
-    if g.has_parallel_edges:
-        raise MultigraphError("triangle-free 2-factor check is defined for simple graphs")
-    spectrum = _spectrum_walk(g)
-    return any(spectrum(list(leaf))[0] >= 4 for leaf in _matching_search(g)())

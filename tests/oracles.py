@@ -16,7 +16,7 @@ labeled graph through the canonicity oracle, with no prefix pruning; a
 second prunes prefixes with a tie frontier that keeps one relabeling per
 permutation of new neighbours instead of cells; and the matching oracle
 is the plain depth-first search, with no dead-end cut. The premise
-oracles read every spectrum off the cycles that
+oracle reads every spectrum off the cycles that
 ``complementary_two_factor`` builds, not off the length-only walk, and
 the C8 oracle filters a table of every perfect matching instead of
 asking the matching search about each path. The short-cycle oracle is
@@ -457,14 +457,6 @@ def premise_witness_by_two_factors(g: CubicGraph) -> dict | None:
         if any(length != 5 for length in spectrum):
             return {"matching": sorted(matching), "spectrum": list(spectrum)}
     return None if found else {"reason": "no perfect matching"}
-
-
-def triangle_free_two_factor_by_two_factors(g: CubicGraph) -> bool:
-    """Some matching's 2-factor, as cycle objects, has no cycle shorter than 4."""
-    return any(
-        min(len(cycle) for cycle in complementary_two_factor(g, m).cycles) >= 4
-        for m in unpruned_perfect_matchings(g)
-    )
 
 
 def c8_by_enumeration(g: CubicGraph) -> ClaimResult:

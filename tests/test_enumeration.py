@@ -6,7 +6,6 @@ import pytest
 
 import cubicscan.enumeration
 from cubicscan.enumeration import (
-    filter_bridgeless,
     generate_cubic_graphs,
     scan_corpus,
     scan_theorem,
@@ -102,12 +101,6 @@ def test_generator_bounds(monkeypatch):
     monkeypatch.setattr(cubicscan.enumeration, "DEFAULT_SIMPLE_LIMIT", 18)
     assert next(generate_cubic_graphs(14, allow_multi=True)).n == 14
     assert next(generate_cubic_graphs(18)).n == 18
-
-
-def test_filter_bridgeless(k4, triple_edge, bridged8):
-    assert list(filter_bridgeless([k4])) == [k4]
-    assert list(filter_bridgeless([triple_edge])) == [triple_edge]
-    assert list(filter_bridgeless([bridged8])) == []
 
 
 def test_scan_small_has_no_positives():

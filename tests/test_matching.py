@@ -1,23 +1,17 @@
-"""Perfect matchings, 2-factors, spectra, and the matching predicates."""
+"""Perfect matchings, 2-factors, spectra, and the premise."""
 
 import time
 from itertools import combinations, zip_longest
 
 import pytest
 
-from cubicscan.connectivity import is_connected
-from cubicscan.enumeration import filter_bridgeless, generate_cubic_graphs
-from cubicscan.errors import MatchingError, MultigraphError
+from cubicscan.enumeration import generate_cubic_graphs
+from cubicscan.errors import MatchingError
 from cubicscan.matching import (
     all_two_factors_are_five_cycles,
     complementary_two_factor,
     cycle_spectrum,
     enumerate_perfect_matchings,
-    exists_perfect_matching,
-    exists_pm_avoiding_edge,
-    exists_pm_with_edge,
-    exists_triangle_free_two_factor,
-    exists_two_factor_through_edges,
     five_cycle_premise_witness,
     two_factor_spectra,
 )
@@ -25,7 +19,6 @@ from cubicscan.matching import _matched_edge_ids, _matching_search
 from oracles import (
     brute_perfect_matchings,
     premise_witness_by_two_factors,
-    triangle_free_two_factor_by_two_factors,
     tutte_condition,
     unpruned_perfect_matchings,
 )
@@ -95,28 +88,28 @@ def test_forced_searches_yield_the_matchings_through_their_edge(
     small_graphs, triple_edge, doubled_edge_ring
 ):
     # a forced edge can cover every vertex at once, alone (triple_edge)
-    # or with the vertices its propagation matches (K4); a search set up
-    # without some edges yields the matchings that avoid them, in order
+    # or with the vertices its propagation matches (K4); two disjoint
+    # forced edges, as claim C8 asks them, yield the matchings through both
     for g in (*small_graphs, triple_edge, doubled_edge_ring):
         search = _matching_search(g)
         every = enumerate_perfect_matchings(g)
-        edge_ids = range(len(g.edges))
-        for eid in edge_ids:
+        for eid in range(len(g.edges)):
             assert _leaf_matchings(g, search(eid)) == [m for m in every if eid in m]
-        avoided = [{e} for e in edge_ids]
-        if g.n <= 8:
-            avoided += [{e, f} for e in edge_ids for f in edge_ids if e < f]
-        for ids in map(frozenset, avoided):
-            leaves = _matching_search(g, ids)()
-            assert _leaf_matchings(g, leaves) == [m for m in every if not m & ids]
+        if g.n > 8:
+            continue
+        for eid, fid in combinations(range(len(g.edges)), 2):
+            if set(g.edges[eid]) & set(g.edges[fid]):
+                continue
+            assert _leaf_matchings(g, search(eid, fid)) == [m for m in every if {eid, fid} <= m]
 
 
 def test_matching_search_is_not_bounded_by_the_recursion_limit(prism5000):
     # one branching per matched pair: 2,500 nested calls would overflow
     # the interpreter's stack; a stack of child generators answers at once
     start = time.perf_counter()
-    assert exists_perfect_matching(prism5000)
-    assert exists_pm_with_edge(prism5000, 0)
+    search = _matching_search(prism5000)
+    assert next(search(), None) is not None
+    assert next(search(0), None) is not None
     witness = five_cycle_premise_witness(prism5000)
     assert witness is not None and 4 in witness["spectrum"]
     assert time.perf_counter() - start < 30
@@ -170,7 +163,7 @@ def test_tutte_condition_rejects_foreign_vertices(k4):
 def test_tutte_equivalence_exhaustive_small():
     for n in (2, 4, 6):
         for g in generate_cubic_graphs(n, allow_multi=True):
-            has_pm = exists_perfect_matching(g)
+            has_pm = bool(enumerate_perfect_matchings(g))
             tutte_all = all(
                 tutte_condition(g, {v for v in range(g.n) if mask >> v & 1}).satisfied
                 for mask in range(1 << g.n)
@@ -298,8 +291,6 @@ def test_premise_answers_equal_the_two_factor_oracles(
     graphs = [*small_graphs, petersen_graph, *prisms.values(), triple_edge]
     for g in graphs + [no_perfect_matching10] + random_multigraphs:
         assert five_cycle_premise_witness(g) == premise_witness_by_two_factors(g)
-        if not g.has_parallel_edges:
-            assert exists_triangle_free_two_factor(g) == triangle_free_two_factor_by_two_factors(g)
     assert five_cycle_premise_witness(no_perfect_matching10) == {"reason": "no perfect matching"}
 
 
@@ -317,75 +308,39 @@ def test_premise_positive_implies_two_odd_cycles(petersen_graph):
 
 
 def test_edge_corollaries_on_petersen(petersen_graph):
+    matchings = enumerate_perfect_matchings(petersen_graph)
     for eid in range(len(petersen_graph.edges)):
-        assert exists_pm_with_edge(petersen_graph, eid)
-        assert exists_pm_avoiding_edge(petersen_graph, eid)
+        assert any(eid in m for m in matchings)
+        assert any(eid not in m for m in matchings)
 
 
 def test_bridge_lies_in_every_pm(bridged8, bridged10):
     for g, bridge in ((bridged8, 4), (bridged10, 14)):
-        assert exists_pm_with_edge(g, bridge)
-        assert not exists_pm_avoiding_edge(g, bridge)
+        matchings = enumerate_perfect_matchings(g)
+        assert matchings and all(bridge in m for m in matchings)
 
 
 def test_triple_edge_corollaries(triple_edge):
+    matchings = enumerate_perfect_matchings(triple_edge)
     for eid in range(3):
-        assert exists_pm_with_edge(triple_edge, eid)
-        assert exists_pm_avoiding_edge(triple_edge, eid)
+        assert any(eid in m for m in matchings)
+        assert any(eid not in m for m in matchings)
 
 
 def test_two_factor_through_edges(petersen_graph, k4, bridged8):
+    # a 2-factor holds two edges when some matching avoids both
     for g in (petersen_graph, k4):
+        matchings = enumerate_perfect_matchings(g)
         for eid, fid in combinations(range(len(g.edges)), 2):
-            assert exists_two_factor_through_edges(g, eid, fid)
+            assert any(eid not in m and fid not in m for m in matchings)
     bridge = 4
+    matchings = enumerate_perfect_matchings(bridged8)
     for fid in range(len(bridged8.edges)):
         if fid != bridge:
-            assert not exists_two_factor_through_edges(bridged8, bridge, fid)
+            assert not any(bridge not in m and fid not in m for m in matchings)
 
 
-def test_edge_queries_equal_the_enumeration_answers(doubled_edge_ring, random_multigraphs):
-    # in the multigraphs a parallel twin is one of an avoided edge's other edges
-    graphs = [g for n in (2, 4, 6, 8) for g in generate_cubic_graphs(n, allow_multi=True)]
-    graphs += [g for n in (4, 6, 8, 10) for g in generate_cubic_graphs(n)]
-    graphs += [doubled_edge_ring]
-    graphs += [g for g in random_multigraphs if g.n <= 14 and is_connected(g)]
-    for g in graphs:
-        matchings = enumerate_perfect_matchings(g)
-        for eid in range(len(g.edges)):
-            assert exists_pm_with_edge(g, eid) == any(eid in m for m in matchings)
-            assert exists_pm_avoiding_edge(g, eid) == any(eid not in m for m in matchings)
-        for eid, fid in combinations(range(len(g.edges)), 2):
-            avoided = any(eid not in m and fid not in m for m in matchings)
-            assert exists_two_factor_through_edges(g, eid, fid) == avoided
-
-
-def test_edge_queries_reject_ids_out_of_range(k4):
-    for eid in (6, 99, -1):
-        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
-            exists_pm_with_edge(k4, eid)
-        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
-            exists_pm_avoiding_edge(k4, eid)
-        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
-            exists_two_factor_through_edges(k4, eid, -2)
-        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
-            exists_two_factor_through_edges(k4, 0, eid)
-
-
-def test_two_factor_query_rejects_one_edge_given_twice(k4):
-    with pytest.raises(ValueError) as info:
-        exists_two_factor_through_edges(k4, 0, 0)
-    assert str(info.value) == "the two edges must be distinct"
-
-
-def test_triangle_free_two_factor(k4, petersen_graph, triple_edge):
-    assert exists_triangle_free_two_factor(k4)
-    assert exists_triangle_free_two_factor(petersen_graph)
-    with pytest.raises(MultigraphError):
-        exists_triangle_free_two_factor(triple_edge)
-
-
-def test_triangle_free_two_factor_on_all_small_bridgeless_simple_graphs():
-    for n in (4, 6, 8, 10):
-        for g in filter_bridgeless(generate_cubic_graphs(n)):
-            assert exists_triangle_free_two_factor(g)
+def test_triangle_free_two_factor(k4, petersen_graph):
+    for g in (k4, petersen_graph):
+        spectra = two_factor_spectra(g, enumerate_perfect_matchings(g))
+        assert any(s[0] >= 4 for s in spectra)
