@@ -4,11 +4,11 @@ Subcommands: ``analyze`` one graph, ``verify`` the claim chain on one
 graph, ``scan`` the exhaustive theorem check, ``generate`` a corpus.
 
 Exit codes are a stable contract for CI use: 0 = success / expected
-result, 1 = a scan found an unexpected premise-positive graph (which
-would falsify the expected outcome), 2 = usage, parse, or validation
-error, 141 = stdout was closed before the output was written (as when
-piped into ``head``; 128 + SIGPIPE, the status a shell reports for a
-tool that SIGPIPE stopped).
+result; 1 = only a scan's verdict, that its positives falsify the
+expected outcome; 2 = usage, parse or validation error, or an internal
+error, which prints its traceback; 141 = stdout was closed before the
+output was written (as when piped into ``head``; 128 + SIGPIPE, the
+status a shell reports for a tool that SIGPIPE stopped).
 """
 
 from __future__ import annotations
@@ -113,14 +113,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _scan_exit_code(report: enumeration.ScanReport, from_corpus: bool) -> int:
+    # the theorem: Petersen is the only positive, found once by a scan of n = 10
     positives = report.positives
-    if from_corpus:
-        return EXIT_OK if all(p.is_petersen for p in positives) else EXIT_FALSIFIED
-    expect_petersen = any(n >= 10 for n in report.n_range)
-    if expect_petersen:
-        ok = len(positives) == 1 and positives[0].is_petersen and positives[0].n == 10
-    else:
-        ok = not positives
+    expected = 1 if any(n >= 10 for n in report.n_range) else 0
+    ok = all(p.is_petersen for p in positives) and (from_corpus or len(positives) == expected)
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
@@ -236,6 +232,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
     except (CubicGraphError, OSError, ValueError) as exc:
         print(f"cubicscan: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        # a fault of the program, not of its input: its traceback stays visible,
+        # printed as the interpreter prints an uncaught exception
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        print(f"cubicscan: error: internal error: {type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

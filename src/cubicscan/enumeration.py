@@ -247,6 +247,18 @@ def _scan_one_n(graphs: Iterable[CubicGraph]) -> NScanStats:
     )
 
 
+def _scan_report(
+    groups: Iterable[tuple[int, Iterable[CubicGraph]]], allow_multi: bool, started: float
+) -> ScanReport:
+    per_n = {n: _scan_one_n(graphs) for n, graphs in groups}
+    return ScanReport(
+        n_range=tuple(per_n),
+        allow_multi=allow_multi,
+        per_n=per_n,
+        elapsed_seconds=round(time.perf_counter() - started, 6),
+    )
+
+
 def scan_theorem(n_max: int, allow_multi: bool = False) -> ScanReport:
     """Run the all-5-cycle premise over every connected bridgeless cubic
     (multi)graph with up to n_max vertices.
@@ -254,17 +266,9 @@ def scan_theorem(n_max: int, allow_multi: bool = False) -> ScanReport:
     The expected outcome is a single positive, at n = 10, isomorphic to
     the Petersen graph (none at all when n_max < 10).
     """
-    n_range = tuple(_check_generation_bounds(n_max, allow_multi))
-    started = time.perf_counter()
-    per_n = {}
-    for n in n_range:
-        per_n[n] = _scan_one_n(generate_cubic_graphs(n, allow_multi))
-    return ScanReport(
-        n_range=n_range,
-        allow_multi=allow_multi,
-        per_n=per_n,
-        elapsed_seconds=round(time.perf_counter() - started, 6),
-    )
+    n_range = _check_generation_bounds(n_max, allow_multi)
+    groups = ((n, generate_cubic_graphs(n, allow_multi)) for n in n_range)
+    return _scan_report(groups, allow_multi, started=time.perf_counter())
 
 
 def scan_corpus(graphs: Iterable[CubicGraph]) -> ScanReport:
@@ -291,11 +295,4 @@ def scan_corpus(graphs: Iterable[CubicGraph]) -> ScanReport:
         any_multi = any_multi or g.has_parallel_edges
     if not by_n:
         raise PreconditionError("corpus has no graphs")
-    n_range = tuple(sorted(by_n))
-    per_n = {n: _scan_one_n(by_n[n]) for n in n_range}
-    return ScanReport(
-        n_range=n_range,
-        allow_multi=any_multi,
-        per_n=per_n,
-        elapsed_seconds=round(time.perf_counter() - started, 6),
-    )
+    return _scan_report(sorted(by_n.items()), any_multi, started)

@@ -329,6 +329,26 @@ def test_scan_without_n_max_or_input_exits_two(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "error", [RuntimeError("boom"), MemoryError()], ids=["RuntimeError", "MemoryError"]
+)
+def test_internal_error_exits_two_with_its_traceback(capsys, monkeypatch, petersen_graph, error):
+    # exit 1 is the scan's verdict alone: an exception that no command
+    # expects is a usage-class failure, and its traceback stays visible
+    import io
+
+    def fail(g):
+        raise error
+
+    monkeypatch.setattr("cubicscan.cli.verifier.verify_claims", fail)
+    monkeypatch.setattr("sys.stdin", io.StringIO(emit_edgelist(petersen_graph)))
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert type(error).__name__ in captured.err
+
+
 def test_stdin_input(capsys, monkeypatch, petersen_graph):
     import io
 
@@ -387,14 +407,21 @@ def test_scan_exit_code_flags_unexpected_positives():
     from cubicscan.enumeration import NScanStats, PositiveRecord, ScanReport
 
     rogue = PositiveRecord(n=12, certificate="x", sparse6=":x", is_petersen=False)
+    petersen = PositiveRecord(n=10, certificate="p", sparse6=":p", is_petersen=True)
 
-    def report(positives):
-        stats = NScanStats(
-            generated=1, bridgeless=1, premise_positive=positives, elapsed_seconds=0.0
-        )
-        return ScanReport(
-            n_range=(12,), allow_multi=False, per_n={12: stats}, elapsed_seconds=0.0
-        )
+    def report(positives, n_range=(12,)):
+        # every positive is filed under the last n; the verdict reads only
+        # the positives and the vertex counts scanned
+        per_n = {
+            n: NScanStats(
+                generated=1,
+                bridgeless=1,
+                premise_positive=positives if n == n_range[-1] else (),
+                elapsed_seconds=0.0,
+            )
+            for n in n_range
+        }
+        return ScanReport(n_range=n_range, allow_multi=False, per_n=per_n, elapsed_seconds=0.0)
 
     assert _scan_exit_code(report((rogue,)), from_corpus=False) == EXIT_FALSIFIED
     assert _scan_exit_code(report((rogue,)), from_corpus=True) == EXIT_FALSIFIED
@@ -402,3 +429,21 @@ def test_scan_exit_code_flags_unexpected_positives():
     # reaching n >= 10 without finding the expected graph is not
     assert _scan_exit_code(report(()), from_corpus=True) == EXIT_OK
     assert _scan_exit_code(report(()), from_corpus=False) == EXIT_FALSIFIED
+    # a generated scan expects exactly one positive, Petersen, once it
+    # reaches n = 10, and none below; a corpus only needs every positive
+    # to be Petersen
+    reaches_10 = (4, 6, 8, 10, 12)
+    below_10 = (4, 6, 8)
+    table = [
+        (False, reaches_10, (petersen,), EXIT_OK),
+        (False, reaches_10, (petersen, petersen), EXIT_FALSIFIED),
+        (False, below_10, (), EXIT_OK),
+        (False, below_10, (petersen,), EXIT_FALSIFIED),
+        (True, (10,), (petersen,), EXIT_OK),
+        (True, below_10, (petersen,), EXIT_OK),
+        (True, (10, 12), (petersen, rogue), EXIT_FALSIFIED),
+        (True, below_10, (petersen, rogue), EXIT_FALSIFIED),
+    ]
+    for from_corpus, n_range, positives, expected in table:
+        code = _scan_exit_code(report(positives, n_range), from_corpus=from_corpus)
+        assert code == expected, (from_corpus, n_range, positives)

@@ -1,10 +1,12 @@
 """Perfect matchings, 2-factors, spectra, and the premise."""
 
+import sys
 import time
 from itertools import combinations, zip_longest
 
 import pytest
 
+from cubicscan import matching
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.errors import MatchingError
 from cubicscan.matching import (
@@ -16,6 +18,7 @@ from cubicscan.matching import (
     two_factor_spectra,
 )
 from cubicscan.matching import _matched_edge_ids, _matching_search
+from cubicscan.verifier import _check_c8
 from oracles import (
     brute_perfect_matchings,
     premise_witness_by_two_factors,
@@ -101,6 +104,45 @@ def test_forced_searches_yield_the_matchings_through_their_edge(
             if set(g.edges[eid]) & set(g.edges[fid]):
                 continue
             assert _leaf_matchings(g, search(eid, fid)) == [m for m in every if {eid, fid} <= m]
+
+
+def _propagate_calls(run) -> int:
+    """How often run() enters the search's nested ``propagate``: one
+    profiler ``call`` event per call of that plain function."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "propagate":
+            calls += code.co_filename == matching.__file__
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_propagation_prunes_the_search_as_pinned(petersen_graph):
+    # the search's work, counted without a clock: propagation removes only
+    # dead subtrees, so a search that propagates less (no start-up
+    # propagation, or forced edges whose neighbours stay off the worklist)
+    # yields the same leaves and shows only in these counts. The planned
+    # odd-component cut will change these pins on purpose.
+    graphs = list(generate_cubic_graphs(10, allow_multi=True))
+
+    def first_leaf_of_every_disjoint_pair():
+        for g in graphs:
+            search = _matching_search(g)
+            for eid, fid in combinations(range(len(g.edges)), 2):
+                if not set(g.edges[eid]) & set(g.edges[fid]):
+                    next(search(eid, fid), None)
+
+    assert _propagate_calls(lambda: enumerate_perfect_matchings(petersen_graph)) == 10
+    assert _propagate_calls(first_leaf_of_every_disjoint_pair) == 11_324
+    assert _propagate_calls(lambda: [_check_c8(g) for g in graphs]) == 720
 
 
 def test_matching_search_is_not_bounded_by_the_recursion_limit(prism5000):

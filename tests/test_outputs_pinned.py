@@ -81,6 +81,8 @@ def _family_runs(family: str, request) -> list[tuple[list[str], str]]:
         return _verify_runs([emit_edgelist(g) for g in fixtures])
     if family == "analyze-n10":
         return [(["analyze", "--output", "json"], text) for text in _generated(10, multi=True)]
+    if family == "analyze-text-n10":
+        return [(["analyze", "--output", "text"], text) for text in _generated(10, multi=True)]
     if family == "analyze-random-simple":
         graphs = request.getfixturevalue("random_simple_graphs")
         return [(["analyze", "--output", "json"], _sparse6(g)) for g in graphs]
@@ -89,10 +91,14 @@ def _family_runs(family: str, request) -> list[tuple[list[str], str]]:
             (["scan", "--n-max", "10", "--output", "json"], ""),
             (["scan", "--n-max", "8", "--multi"], ""),
         ]
+    if family == "scan-multi-j2":
+        return [(["scan", "--n-max", "10", "--multi", "--jobs", "2", "--output", "json"], "")]
     if family == "scan-corpus":
         return [(["scan", "-i", "-"], "".join(_generated(10, multi=True)))]
     if family == "generate":
         return [(["generate", "--n", "10"], "")]
+    if family == "generate-multi-n8":
+        return [(["generate", "--n", "8", "--multi"], "")]
     if family == "rejected":
         disconnected = request.getfixturevalue("two_k4s_disconnected_edges")
         edges = "".join(f"{u} {v}\n" for u, v in disconnected)
