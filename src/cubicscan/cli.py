@@ -55,8 +55,7 @@ def _emit_json(payload: dict) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_single_graph(args)
     connectivity = edge_connectivity(g)  # rejects a disconnected graph before enumeration
-    matchings = matching.enumerate_perfect_matchings(g)
-    spectra = Counter(matching.two_factor_spectra(g, matchings))
+    spectra = Counter(matching.two_factor_spectra(g))
     payload = {
         "report": "analyze",
         "n": g.n,
@@ -64,12 +63,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "girth": girth(g),
         "edge_connectivity": connectivity,
         "bridges": bridges(g),
-        "perfect_matching_count": len(matchings),
+        "perfect_matching_count": sum(spectra.values()),
         "two_factor_spectra": [
             {"spectrum": list(lengths), "count": count}
             for lengths, count in sorted(spectra.items())
         ],
-        "all_two_factors_are_five_cycles": bool(matchings)
+        "all_two_factors_are_five_cycles": bool(spectra)
         and all(length == 5 for spectrum in spectra for length in spectrum),
     }
     if args.output == "json":
@@ -235,7 +234,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except Exception as exc:
         # a fault of the program, not of its input: its traceback stays visible,
-        # printed as the interpreter prints an uncaught exception
+        # printed as the interpreter prints an uncaught exception. The frames
+        # below main's own have finished: clearing their locals first, as
+        # traceback.clear_frames does, frees what they held (after a
+        # MemoryError, what the printer needs) without importing a module
+        tb = exc.__traceback__.tb_next
+        while tb is not None:
+            tb.tb_frame.clear()
+            tb = tb.tb_next
         sys.excepthook(type(exc), exc, exc.__traceback__)
         print(f"cubicscan: error: internal error: {type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE

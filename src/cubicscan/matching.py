@@ -24,17 +24,20 @@ first-leaf query per 3-edge path, pays for it once.
 
 Every premise answer reads only cycle lengths: the paper's premise is
 that each complementary 2-factor splits into 5-cycles, which is a
-statement about the spectrum alone. ``two_factor_spectra`` and the
-premise functions therefore walk the 2-factor without building cycle
-objects. Per graph they store, for each edge id, the XOR of its two
-endpoints and, for each vertex, the sum of its three edge ids. Per
-matching they take the search's leaf, each vertex's matched edge id;
+statement about the spectrum alone. One walk, ``_two_factor_walks``,
+therefore serves ``two_factor_spectra`` and the premise functions: it
+reads each leaf of the search, each vertex's matched edge id, and
+yields the leaf with its sorted cycle lengths, building neither a
+matching's edge-id set nor cycle objects, and keeping no leaf it has
+passed. Per graph it stores, for each edge id, the XOR of its two
+endpoints and, for each vertex, the sum of its three edge ids;
 entering v by edge ``e``, the walk leaves by ``total[v] - e - matched[v]``,
 the one edge that is neither, and reaches ``v ^ ends_xor[e']``. Edge
 ids keep parallel edges apart, so a doubled edge still closes a 2-cycle.
-``complementary_two_factor`` and ``cycle_spectrum`` remain for callers
-that need the cycles themselves, and the test suite checks that both
-give the same spectrum for every matching.
+``enumerate_perfect_matchings``, ``complementary_two_factor`` and
+``cycle_spectrum`` remain for callers that need the matchings or the
+cycles themselves, and the test suite checks that both routes give the
+same spectra in the same order.
 
 Everything here is a pure function of an immutable graph; enumeration
 results are value snapshots, safe to share across threads or processes.
@@ -43,7 +46,6 @@ results are value snapshots, safe to share across threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from .errors import MatchingError
@@ -275,20 +277,18 @@ def cycle_spectrum(factor: TwoFactor) -> CycleSpectrum:
     return tuple(sorted(len(cycle) for cycle in factor.cycles))
 
 
-def _spectrum_walk(g: CubicGraph) -> Callable[[list[int]], CycleSpectrum]:
-    """The per-graph setup of the length-only 2-factor walk.
+def _two_factor_walks(g: CubicGraph) -> Iterator[tuple[tuple[int, ...], CycleSpectrum]]:
+    """Each leaf of the perfect matching search, in enumeration order,
+    with the sorted cycle lengths of its complementary 2-factor.
 
-    The returned function maps a perfect matching, as a list of each
-    vertex's matched edge id, which it consumes, to the sorted cycle
-    lengths of its complementary 2-factor. It checks nothing: callers
-    pass search leaves or ids that ``_matched_edge_ids`` has checked.
+    The walk reads only the search's leaves, so it checks nothing.
     """
     ends_xor = [u ^ v for u, v in g.edges]
     ids = [(a, b, c) for (_, a), (_, b), (_, c) in g.adjacency]
     total = [a + b + c for a, b, c in ids]
-
-    def spectrum(matched: list[int]) -> CycleSpectrum:
+    for leaf in _matching_search(g)():
         # a vertex's entry becomes -1 once the walk has passed it
+        matched = list(leaf)
         lengths = []
         for start, (a, b, _) in enumerate(ids):
             if matched[start] < 0:
@@ -303,21 +303,14 @@ def _spectrum_walk(g: CubicGraph) -> Callable[[list[int]], CycleSpectrum]:
                 current ^= ends_xor[eid]
                 length += 1
             lengths.append(length)
-        return tuple(sorted(lengths))
-
-    return spectrum
+        yield leaf, tuple(sorted(lengths))
 
 
-def two_factor_spectra(
-    g: CubicGraph, matchings: Iterable[PerfectMatching]
-) -> tuple[CycleSpectrum, ...]:
-    """``cycle_spectrum(complementary_two_factor(g, m))`` for each matching,
-    in order, without building the cycles.
-
-    Raises ``MatchingError``, as ``complementary_two_factor`` does, for
-    ids that are not a perfect matching.
-    """
-    return tuple(map(_spectrum_walk(g), map(partial(_matched_edge_ids, g), matchings)))
+def two_factor_spectra(g: CubicGraph) -> Iterator[CycleSpectrum]:
+    """``cycle_spectrum(complementary_two_factor(g, m))`` for each ``m`` of
+    ``enumerate_perfect_matchings(g)``, lazily and in that order, without
+    keeping the matchings or building the cycles."""
+    return (lengths for _, lengths in _two_factor_walks(g))
 
 
 def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
@@ -331,10 +324,8 @@ def five_cycle_premise_witness(g: CubicGraph) -> dict | None:
     cycle of another length.
     """
     found = False
-    spectrum = _spectrum_walk(g)
-    for leaf in _matching_search(g)():
+    for leaf, lengths in _two_factor_walks(g):
         found = True
-        lengths = spectrum(list(leaf))
         if any(length != 5 for length in lengths):
             return {"matching": sorted(set(leaf)), "spectrum": list(lengths)}
     return None if found else {"reason": "no perfect matching"}

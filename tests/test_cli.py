@@ -349,6 +349,56 @@ def test_internal_error_exits_two_with_its_traceback(capsys, monkeypatch, peters
     assert type(error).__name__ in captured.err
 
 
+def test_internal_error_frees_its_frames_before_the_traceback(capsys, monkeypatch, petersen_graph):
+    # after a MemoryError the printer needs what the failed command held
+    import io
+    import weakref
+
+    class Held:
+        pass
+
+    refs = []
+
+    def fail(g):
+        held = Held()
+        refs.append(weakref.ref(held))
+        raise MemoryError
+
+    alive_at_print = []
+
+    def excepthook(*exc_info):
+        alive_at_print.append(refs[0]() is not None)
+        sys.__excepthook__(*exc_info)
+
+    monkeypatch.setattr("cubicscan.cli.verifier.verify_claims", fail)
+    monkeypatch.setattr("sys.excepthook", excepthook)
+    monkeypatch.setattr("sys.stdin", io.StringIO(emit_edgelist(petersen_graph)))
+    assert main(["verify"]) == 2
+    assert alive_at_print == [False]
+    err = capsys.readouterr().err
+    assert ", in fail\n" in err
+    assert "cubicscan: error: internal error: MemoryError" in err
+
+
+def test_analyze_memory_does_not_follow_the_matching_count(tmp_path, capsys):
+    # the 40-vertex prism has 15,129 perfect matchings; analyze keeps only
+    # their distinct spectra
+    import tracemalloc
+
+    from conftest import _k_prism
+
+    path = _write(tmp_path, "prism40.s6", emit_sparse6(_k_prism(20)) + b"\n")
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "-i", path, "--output", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["perfect_matching_count"] == 15129
+    assert peak < 1 << 20
+
+
 def test_stdin_input(capsys, monkeypatch, petersen_graph):
     import io
 
