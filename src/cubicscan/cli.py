@@ -92,50 +92,48 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_single_graph(args)
     report = verifier.verify_claims(g)
-    payload = {"report": "verify", **report.to_json_dict()}
     if args.output == "json":
-        _emit_json(payload)
+        _emit_json(report)
     else:
         out = sys.stdout
-        out.write(f"certificate   {report.graph_certificate}\n")
-        out.write(f"premise       {'holds' if report.premise_holds else 'fails'}\n")
-        if report.premise_witness:
-            out.write(f"  witness     {json.dumps(report.premise_witness, sort_keys=True)}\n")
+        out.write(f"certificate   {report['graph_certificate']}\n")
+        out.write(f"premise       {'holds' if report['premise_holds'] else 'fails'}\n")
+        if report["premise_witness"]:
+            out.write(f"  witness     {json.dumps(report['premise_witness'], sort_keys=True)}\n")
         for cid in verifier.CLAIM_IDS:
-            res = report.claim_results[cid]
-            line = f"{cid:<6}{'holds' if res.holds else 'FAILS'}"
-            if res.witness is not None:
-                line += f"  {json.dumps(res.witness, sort_keys=True)}"
+            claim = report["claims"][cid]
+            line = f"{cid:<6}{'holds' if claim['holds'] else 'FAILS'}"
+            if claim["witness"] is not None:
+                line += f"  {json.dumps(claim['witness'], sort_keys=True)}"
             out.write(line + "\n")
-        out.write(f"is_petersen   {'yes' if report.is_petersen else 'no'}\n")
+        out.write(f"is_petersen   {'yes' if report['is_petersen'] else 'no'}\n")
     return EXIT_OK
 
 
-def _scan_exit_code(report: enumeration.ScanReport, from_corpus: bool) -> int:
+def _scan_exit_code(report: dict, from_corpus: bool) -> int:
     # the theorem: Petersen is the only positive, found once by a scan of n = 10
-    positives = report.positives
-    expected = 1 if any(n >= 10 for n in report.n_range) else 0
-    ok = all(p.is_petersen for p in positives) and (from_corpus or len(positives) == expected)
+    positives = report["positives"]
+    expected = 1 if any(n >= 10 for n in report["n_range"]) else 0
+    ok = all(p["is_petersen"] for p in positives) and (from_corpus or len(positives) == expected)
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
-def _render_scan(report: enumeration.ScanReport, args: argparse.Namespace) -> None:
-    payload = {"report": "scan", **report.to_json_dict()}
+def _render_scan(report: dict, args: argparse.Namespace) -> None:
     if args.output == "json":
-        _emit_json(payload)
+        _emit_json(report)
         return
     out = sys.stdout
     out.write("   n  generated  bridgeless  positives\n")
-    for n in report.n_range:
-        stats = report.per_n[n]
+    for n in report["n_range"]:
+        stats = report["per_n"][str(n)]
         out.write(
-            f"{n:>4}  {stats.generated:>9}  {stats.bridgeless:>10}  "
-            f"{len(stats.premise_positive):>9}\n"
+            f"{n:>4}  {stats['generated']:>9}  {stats['bridgeless']:>10}  "
+            f"{len(stats['premise_positive']):>9}\n"
         )
-    for positive in report.positives:
-        tag = "petersen" if positive.is_petersen else "UNEXPECTED"
-        out.write(f"positive at n={positive.n}: {positive.sparse6} [{tag}]\n")
-    out.write(f"elapsed {report.elapsed_seconds:.2f}s\n")
+    for positive in report["positives"]:
+        tag = "petersen" if positive["is_petersen"] else "UNEXPECTED"
+        out.write(f"positive at n={positive['n']}: {positive['sparse6']} [{tag}]\n")
+    out.write(f"elapsed {report['elapsed_seconds']:.2f}s\n")
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

@@ -21,13 +21,14 @@ relabeling per permutation.
 The scan runs the all-5-cycle premise over every generated connected
 bridgeless graph and reports the graphs that satisfy it. It takes the
 graphs one at a time as the generator yields them and keeps only the
-positives, so its memory does not grow with the class count.
+positives, so its memory does not grow with the class count. Both scans
+return the dict that ``cubicscan scan --output json`` prints, built from
+JSON types only; ``docs/report-schema.json`` defines its shape.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from . import connectivity, matching
@@ -46,9 +47,6 @@ from .graphs import is_canonical_labeling  # unused here: perfbench/tracing.py w
 __all__ = [
     "DEFAULT_SIMPLE_LIMIT",
     "DEFAULT_MULTI_LIMIT",
-    "PositiveRecord",
-    "NScanStats",
-    "ScanReport",
     "generate_cubic_graphs",
     "scan_theorem",
     "scan_corpus",
@@ -179,46 +177,8 @@ def generate_cubic_graphs(n: int, allow_multi: bool = False) -> Iterator[CubicGr
         yield CubicGraph(n=n, edges=edges)
 
 
-@dataclass(frozen=True)
-class PositiveRecord:
-    """One graph satisfying the all-5-cycle premise."""
-
-    n: int
-    certificate: str
-    sparse6: str
-    is_petersen: bool
-
-
-@dataclass(frozen=True)
-class NScanStats:
-    generated: int
-    bridgeless: int
-    premise_positive: tuple[PositiveRecord, ...]
-    elapsed_seconds: float
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    n_range: tuple[int, ...]
-    allow_multi: bool
-    per_n: dict[int, NScanStats]
-    elapsed_seconds: float
-
-    @property
-    def positives(self) -> tuple[PositiveRecord, ...]:
-        return tuple(p for n in self.n_range for p in self.per_n[n].premise_positive)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_range": list(self.n_range),
-            "allow_multi": self.allow_multi,
-            "per_n": {str(n): asdict(stats) for n, stats in sorted(self.per_n.items())},
-            "positives": [asdict(p) for p in self.positives],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-
-def _scan_one_n(graphs: Iterable[CubicGraph]) -> NScanStats:
+def _scan_one_n(graphs: Iterable[CubicGraph]) -> dict:
+    """One n's counts and its premise positives, sorted by certificate."""
     started = time.perf_counter()
     generated = bridgeless = 0
     positives = []
@@ -229,37 +189,42 @@ def _scan_one_n(graphs: Iterable[CubicGraph]) -> NScanStats:
         bridgeless += 1
         if not matching.all_two_factors_are_five_cycles(g):
             continue
-        cert = canonical_form(g).certificate
         positives.append(
-            PositiveRecord(
-                n=g.n,
-                certificate=cert.decode("ascii"),
-                sparse6=emit_sparse6(g).decode("ascii"),
-                is_petersen=is_isomorphic(g, petersen()),
-            )
+            {
+                "n": g.n,
+                "certificate": canonical_form(g).certificate.decode("ascii"),
+                "sparse6": emit_sparse6(g).decode("ascii"),
+                "is_petersen": is_isomorphic(g, petersen()),
+            }
         )
-    positives.sort(key=lambda p: p.certificate)
-    return NScanStats(
-        generated=generated,
-        bridgeless=bridgeless,
-        premise_positive=tuple(positives),
-        elapsed_seconds=round(time.perf_counter() - started, 6),
-    )
+    positives.sort(key=lambda p: p["certificate"])
+    return {
+        "generated": generated,
+        "bridgeless": bridgeless,
+        "premise_positive": positives,
+        "elapsed_seconds": round(time.perf_counter() - started, 6),
+    }
 
 
 def _scan_report(
     groups: Iterable[tuple[int, Iterable[CubicGraph]]], allow_multi: bool, started: float
-) -> ScanReport:
+) -> dict:
+    """The scan report of (n, graphs) groups given in ascending n. per_n
+    is keyed by str(n), as JSON keys are strings, so the report equals
+    its own JSON round trip and a sorted dump orders the keys as text
+    ("10" before "4")."""
     per_n = {n: _scan_one_n(graphs) for n, graphs in groups}
-    return ScanReport(
-        n_range=tuple(per_n),
-        allow_multi=allow_multi,
-        per_n=per_n,
-        elapsed_seconds=round(time.perf_counter() - started, 6),
-    )
+    return {
+        "report": "scan",
+        "n_range": list(per_n),
+        "allow_multi": allow_multi,
+        "per_n": {str(n): stats for n, stats in per_n.items()},
+        "positives": [p for stats in per_n.values() for p in stats["premise_positive"]],
+        "elapsed_seconds": round(time.perf_counter() - started, 6),
+    }
 
 
-def scan_theorem(n_max: int, allow_multi: bool = False) -> ScanReport:
+def scan_theorem(n_max: int, allow_multi: bool = False) -> dict:
     """Run the all-5-cycle premise over every connected bridgeless cubic
     (multi)graph with up to n_max vertices.
 
@@ -271,7 +236,7 @@ def scan_theorem(n_max: int, allow_multi: bool = False) -> ScanReport:
     return _scan_report(groups, allow_multi, started=time.perf_counter())
 
 
-def scan_corpus(graphs: Iterable[CubicGraph]) -> ScanReport:
+def scan_corpus(graphs: Iterable[CubicGraph]) -> dict:
     """Scan a user-supplied corpus instead of the internal generator.
 
     The theorem is about connected graphs, so the first disconnected

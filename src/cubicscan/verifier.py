@@ -4,8 +4,17 @@ uniqueness of the Petersen graph (PROP4).
 ``verify_claims`` evaluates every claim predicate unconditionally, so
 the resulting report doubles as a structural profile of the graph even
 when the all-5-cycle premise fails. When the premise holds, the claim
-chain C1..C8 plus the final neighborhood check must all hold; the scan
-in :mod:`cubicscan.enumeration` asserts exactly that.
+chain C1..C8 plus the final neighborhood check must all hold. The scan
+in :mod:`cubicscan.enumeration` does not run these claims: it checks
+each graph for bridges, each bridgeless one for the premise and each
+positive for isomorphism to Petersen, and ``cli._scan_exit_code`` turns
+that into its verdict.
+
+The report is the dict that ``cubicscan verify --output json`` prints,
+built from JSON types only; ``docs/report-schema.json`` defines its
+shape. It holds ``report`` ("verify"), ``graph_certificate``,
+``premise_holds``, ``premise_witness``, ``is_petersen`` and ``claims``,
+which maps each claim id to ``{"holds": bool, "witness": ...}``.
 
 No claim enumerates perfect matchings. C8 sets up the matching search
 once per graph and asks it a first-leaf query for each 3-edge path that
@@ -30,7 +39,6 @@ Claim ids:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import connectivity, matching
@@ -40,41 +48,15 @@ from .matching import _matching_search
 
 __all__ = [
     "CLAIM_IDS",
-    "ClaimResult",
-    "ClaimReport",
     "verify_claims",
 ]
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "FINAL", "PROP4")
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    holds: bool
-    witness: object = None
-
-
-@dataclass(frozen=True)
-class ClaimReport:
-    """Per-graph record of every claim predicate plus the premise."""
-
-    graph_certificate: str
-    premise_holds: bool
-    premise_witness: dict | None
-    claim_results: dict[str, ClaimResult] = field(compare=False)
-    is_petersen: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph_certificate": self.graph_certificate,
-            "premise_holds": self.premise_holds,
-            "premise_witness": self.premise_witness,
-            "claims": {
-                cid: {"holds": res.holds, "witness": res.witness}
-                for cid, res in sorted(self.claim_results.items())
-            },
-            "is_petersen": self.is_petersen,
-        }
+def _claim(witness: dict | None) -> dict:
+    """A claim entry: the claim holds exactly when no witness refutes it."""
+    return {"holds": witness is None, "witness": witness}
 
 
 def _three_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int, int]]:
@@ -92,7 +74,7 @@ def _three_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int, int]]:
                     yield (u, v, w, x)
 
 
-def _check_c8(g: CubicGraph) -> ClaimResult:
+def _check_c8(g: CubicGraph) -> dict:
     """The first 3-edge path u-v-w-x with no perfect matching through
     uv and wx, by first-leaf queries on one matching search.
 
@@ -111,13 +93,14 @@ def _check_c8(g: CubicGraph) -> ClaimResult:
             continue
         found = next(search(e, f), None)
         if found is None:
-            return ClaimResult(False, {"path": [u, v, w, x]})
+            return _claim({"path": [u, v, w, x]})
         extends.update((found[a], found[b]) for a, b in g.edges)
-    return ClaimResult(True)
+    return _claim(None)
 
 
-def _neighborhood_structure(g: CubicGraph) -> tuple[bool, dict | None]:
-    """Check the three 5-cycle neighborhood conditions on a girth-5 graph.
+def _neighborhood_structure(g: CubicGraph) -> dict | None:
+    """Check the three 5-cycle neighborhood conditions on a girth-5 graph,
+    returning the witness against them, or None when they hold.
 
     (a) every 3-edge path lies on a 5-cycle; (b) every 2-edge path lies
     on at least two distinct 5-cycles; (c) each closed second
@@ -137,94 +120,88 @@ def _neighborhood_structure(g: CubicGraph) -> tuple[bool, dict | None]:
     nbr = [set(row) for row in g.neighbor_lists]
     for u, v, w, x in _three_edge_paths(g):
         if not any(y in nbr[u] for y in nbr[x] - {u, v, w}):
-            return False, {"check": "3-edge path not on a 5-cycle", "path": [u, v, w, x]}
-    return True, None
+            return {"check": "3-edge path not on a 5-cycle", "path": [u, v, w, x]}
+    return None
 
 
-def verify_claims(g: CubicGraph) -> ClaimReport:
-    """Evaluate the premise and every claim predicate on one graph."""
+def verify_claims(g: CubicGraph) -> dict:
+    """Evaluate the premise and every claim predicate on one graph, as
+    the dict that ``verify --output json`` prints."""
     if not connectivity.is_connected(g):
         raise DisconnectedError("claim verification requires a connected graph")
 
-    results: dict[str, ClaimResult] = {}
-
     two_cycle = connectivity.find_two_cycle(g)
-    results["C1"] = ClaimResult(
-        two_cycle is None,
-        None if two_cycle is None else {"parallel_edge_ids": list(two_cycle)},
-    )
+    claims = {
+        "C1": _claim(None if two_cycle is None else {"parallel_edge_ids": list(two_cycle)})
+    }
 
     adjacent = connectivity.find_adjacent_triangles(g)
-    results["C2"] = ClaimResult(
-        adjacent is None,
+    claims["C2"] = _claim(
         None
         if adjacent is None
-        else {"apexes": [adjacent[0], adjacent[1]], "shared_edge": list(adjacent[2])},
+        else {"apexes": [adjacent[0], adjacent[1]], "shared_edge": list(adjacent[2])}
     )
 
     square_triangle = connectivity.find_square_triangle_pair(g)
-    results["C3"] = ClaimResult(
-        square_triangle is None,
+    claims["C3"] = _claim(
         None
         if square_triangle is None
         else {
             "square": list(square_triangle[0]),
             "triangle": list(square_triangle[1]),
             "shared_edge": list(square_triangle[2]),
-        },
+        }
     )
 
     triangle = connectivity.find_cycle_of_length(g, 3)
-    results["C4"] = ClaimResult(
-        triangle is None, None if triangle is None else {"cycle": list(triangle)}
-    )
+    claims["C4"] = _claim(None if triangle is None else {"cycle": list(triangle)})
 
     girth_value = connectivity.girth(g)
     if girth_value == 5:
-        results["C5"] = ClaimResult(True)
+        claims["C5"] = _claim(None)
     else:  # a 2-cycle is C1's witness and a triangle C4's; girth 6+ has none
-        short = {2: results["C1"].witness, 3: results["C4"].witness}.get(girth_value)
+        short = {2: claims["C1"]["witness"], 3: claims["C4"]["witness"]}.get(girth_value)
         if girth_value == 4:
             short = {"cycle": list(connectivity.find_cycle_of_length(g, 4))}
-        results["C5"] = ClaimResult(False, {"girth": girth_value, "witness": short})
+        claims["C5"] = _claim({"girth": girth_value, "witness": short})
 
     lam = connectivity.edge_connectivity(g)
-    results["C6"] = ClaimResult(
-        lam == 3,
+    claims["C6"] = _claim(
         None
         if lam == 3
         else {
             "edge_connectivity": lam,
             "cut": sorted(next(connectivity.edge_cuts(g, lam)).edges),
-        },
+        }
     )
 
     nonstar = next(
         (c for c in connectivity.enumerate_3_edge_cuts(g) if not c.is_vertex_star), None
     )
-    results["C7"] = ClaimResult(
-        nonstar is None,
+    claims["C7"] = _claim(
         None
         if nonstar is None
-        else {"cut_edges": sorted(nonstar.edges), "side": list(nonstar.side_u)},
+        else {"cut_edges": sorted(nonstar.edges), "side": list(nonstar.side_u)}
     )
 
-    results["C8"] = _check_c8(g)
+    claims["C8"] = _check_c8(g)
 
-    if girth_value == 5:
-        holds, witness = _neighborhood_structure(g)
-        results["FINAL"] = ClaimResult(holds, witness)
-    else:
-        results["FINAL"] = ClaimResult(False, {"girth": girth_value})
+    claims["FINAL"] = _claim(
+        _neighborhood_structure(g) if girth_value == 5 else {"girth": girth_value}
+    )
 
     petersen_like = is_isomorphic(g, petersen())
-    results["PROP4"] = ClaimResult(not (g.n == 10 and girth_value == 5) or petersen_like)
+    claims["PROP4"] = {
+        "holds": not (g.n == 10 and girth_value == 5) or petersen_like,
+        "witness": None,
+    }
 
     premise_witness = matching.five_cycle_premise_witness(g)
-    return ClaimReport(
-        graph_certificate=canonical_form(g).certificate.decode("ascii"),
-        premise_holds=premise_witness is None,
-        premise_witness=premise_witness,
-        claim_results=results,
-        is_petersen=petersen_like,
-    )
+    return {
+        "report": "verify",
+        "graph_certificate": canonical_form(g).certificate.decode("ascii"),
+        "premise_holds": premise_witness is None,
+        "premise_witness": premise_witness,
+        "claims": claims,
+        "is_petersen": petersen_like,
+    }

@@ -36,7 +36,7 @@ from cubicscan.matching import (
     cycle_spectrum,
     enumerate_perfect_matchings,
 )
-from cubicscan.verifier import ClaimResult, _three_edge_paths
+from cubicscan.verifier import _three_edge_paths
 
 
 def labeled_cubic_edge_lists(n: int, allow_multi: bool) -> set[tuple[tuple[int, int], ...]]:
@@ -459,9 +459,10 @@ def premise_witness_by_two_factors(g: CubicGraph) -> dict | None:
     return None if found else {"reason": "no perfect matching"}
 
 
-def c8_by_enumeration(g: CubicGraph) -> ClaimResult:
-    """Claim C8 by filtering a table of every perfect matching, as vertex
-    pairs, once per 3-edge path in the verifier's path order."""
+def c8_by_enumeration(g: CubicGraph) -> dict:
+    """Claim C8's report entry by filtering a table of every perfect
+    matching, as vertex pairs, once per 3-edge path in the verifier's
+    path order."""
     pair_sets = [
         frozenset(g.edges[eid] for eid in m)
         for m in enumerate_perfect_matchings(g)
@@ -470,8 +471,8 @@ def c8_by_enumeration(g: CubicGraph) -> ClaimResult:
         first = (min(u, v), max(u, v))
         second = (min(w, x), max(w, x))
         if not any(first in pairs and second in pairs for pairs in pair_sets):
-            return ClaimResult(False, {"path": [u, v, w, x]})
-    return ClaimResult(True)
+            return {"holds": False, "witness": {"path": [u, v, w, x]}}
+    return {"holds": True, "witness": None}
 
 
 def two_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int]]:

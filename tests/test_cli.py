@@ -454,24 +454,13 @@ def test_scan_exit_code_flags_unexpected_positives():
     # no real graph can trigger exit 1 (that is the point of the scan),
     # so exercise the contract on synthetic reports
     from cubicscan.cli import EXIT_FALSIFIED, EXIT_OK, _scan_exit_code
-    from cubicscan.enumeration import NScanStats, PositiveRecord, ScanReport
 
-    rogue = PositiveRecord(n=12, certificate="x", sparse6=":x", is_petersen=False)
-    petersen = PositiveRecord(n=10, certificate="p", sparse6=":p", is_petersen=True)
+    rogue = {"n": 12, "certificate": "x", "sparse6": ":x", "is_petersen": False}
+    petersen = {"n": 10, "certificate": "p", "sparse6": ":p", "is_petersen": True}
 
     def report(positives, n_range=(12,)):
-        # every positive is filed under the last n; the verdict reads only
-        # the positives and the vertex counts scanned
-        per_n = {
-            n: NScanStats(
-                generated=1,
-                bridgeless=1,
-                premise_positive=positives if n == n_range[-1] else (),
-                elapsed_seconds=0.0,
-            )
-            for n in n_range
-        }
-        return ScanReport(n_range=n_range, allow_multi=False, per_n=per_n, elapsed_seconds=0.0)
+        # the verdict reads only the positives and the vertex counts scanned
+        return {"n_range": list(n_range), "positives": list(positives)}
 
     assert _scan_exit_code(report((rogue,)), from_corpus=False) == EXIT_FALSIFIED
     assert _scan_exit_code(report((rogue,)), from_corpus=True) == EXIT_FALSIFIED

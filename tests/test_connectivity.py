@@ -241,7 +241,7 @@ def test_edge_cuts_reject_k_below_one(k4):
 def test_trivial_cut_predicate(petersen_graph, k4, prism, small_graphs):
     # C7 is the one answer to "is every 3-edge cut a vertex star?"
     def c7(g):
-        return verify_claims(g).claim_results["C7"].holds
+        return verify_claims(g)["claims"]["C7"]["holds"]
 
     assert c7(petersen_graph)
     assert c7(k4)

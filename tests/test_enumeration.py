@@ -1,7 +1,10 @@
 """Generator completeness, bridgeless filtering, and the scan."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 import cubicscan.enumeration
@@ -23,6 +26,10 @@ from oracles import (
 # cubic loopless multigraphs)
 SIMPLE_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
 MULTI_COUNTS = {2: 1, 4: 2, 6: 6, 8: 20, 10: 91, 12: 509}
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
+)
 
 
 def test_generator_matches_brute_force_classes_simple():
@@ -105,18 +112,18 @@ def test_generator_bounds(monkeypatch):
 
 def test_scan_small_has_no_positives():
     report = scan_theorem(8)
-    assert report.n_range == (4, 6, 8)
-    assert not report.positives
-    assert report.per_n[8].generated == 5
-    assert report.per_n[8].bridgeless == 5
+    assert report["n_range"] == [4, 6, 8]
+    assert not report["positives"]
+    assert report["per_n"]["8"]["generated"] == 5
+    assert report["per_n"]["8"]["bridgeless"] == 5
 
 
 def test_scan_to_ten_finds_exactly_petersen():
     report = scan_theorem(10)
-    assert [p.n for p in report.positives] == [10]
-    assert report.positives[0].is_petersen
+    assert [p["n"] for p in report["positives"]] == [10]
+    assert report["positives"][0]["is_petersen"]
     expected = canonical_form(petersen()).certificate.decode("ascii")
-    assert report.positives[0].certificate == expected
+    assert report["positives"][0]["certificate"] == expected
 
 
 def test_scan_streams_the_generated_graphs():
@@ -128,22 +135,28 @@ def test_scan_streams_the_generated_graphs():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert {n: stats.generated for n, stats in report.per_n.items()} == SIMPLE_COUNTS
-    assert [p.n for p in report.positives] == [10]
+    assert {int(n): stats["generated"] for n, stats in report["per_n"].items()} == SIMPLE_COUNTS
+    assert [p["n"] for p in report["positives"]] == [10]
     assert peak < 1.5e6
 
 
 def test_scan_multigraphs_to_six():
     report = scan_theorem(6, allow_multi=True)
-    assert report.n_range == (2, 4, 6)
-    assert report.per_n[2].generated == 1
-    assert report.per_n[2].bridgeless == 1  # triple edge survives the filter
-    assert not report.positives
+    assert report["n_range"] == [2, 4, 6]
+    assert report["per_n"]["2"]["generated"] == 1
+    assert report["per_n"]["2"]["bridgeless"] == 1  # triple edge survives the filter
+    assert not report["positives"]
 
 
 def test_scan_repeats_identically_modulo_timing():
-    a = scan_theorem(8).to_json_dict()
-    b = scan_theorem(8).to_json_dict()
+    # each report is the JSON that scan prints: JSON types only (a tuple or
+    # an int key would not survive the round trip) and valid against the schema
+    reports = (scan_theorem(8), scan_theorem(6, allow_multi=True), scan_corpus([petersen()]))
+    for report in reports:
+        jsonschema.validate(report, SCHEMA)
+        assert json.loads(json.dumps(report)) == report
+    a = scan_theorem(8)
+    b = scan_theorem(8)
 
     def strip(d):
         d.pop("elapsed_seconds", None)
@@ -156,8 +169,8 @@ def test_scan_repeats_identically_modulo_timing():
 
 def test_scan_corpus_mode(petersen_graph, k4, prism):
     report = scan_corpus([k4, prism, petersen_graph])
-    assert report.n_range == (4, 6, 10)
-    assert [p.is_petersen for p in report.positives] == [True]
+    assert report["n_range"] == [4, 6, 10]
+    assert [p["is_petersen"] for p in report["positives"]] == [True]
 
 
 def test_scan_rejects_odd_or_oversized_bounds():

@@ -1,12 +1,17 @@
 """Claim reports and the neighborhood check."""
 
+import json
 from itertools import combinations
+from pathlib import Path
 
+import jsonschema
 import pytest
 
+from cubicscan.cli import main
 from cubicscan.connectivity import girth, is_connected
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.errors import DisconnectedError
+from cubicscan.formats import emit_edgelist
 from cubicscan.graphs import CubicGraph, canonical_form, relabeled
 from cubicscan.verifier import CLAIM_IDS, verify_claims
 from oracles import (
@@ -18,36 +23,40 @@ from oracles import (
     two_edge_paths,
 )
 
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
+)
+
 
 def test_petersen_report_all_claims_hold(petersen_graph):
     report = verify_claims(petersen_graph)
-    assert report.premise_holds
-    assert report.premise_witness is None
-    assert report.is_petersen
-    assert set(report.claim_results) == set(CLAIM_IDS)
-    assert all(res.holds for res in report.claim_results.values())
+    assert report["premise_holds"]
+    assert report["premise_witness"] is None
+    assert report["is_petersen"]
+    assert set(report["claims"]) == set(CLAIM_IDS)
+    assert all(claim["holds"] for claim in report["claims"].values())
 
 
 def test_k4_report(k4):
     report = verify_claims(k4)
-    assert not report.premise_holds
-    assert report.premise_witness is not None
-    assert report.premise_witness["spectrum"] == [4]
-    assert not report.claim_results["C4"].holds
-    assert report.claim_results["C4"].witness == {"cycle": [0, 1, 2]}
-    assert not report.claim_results["C5"].holds
-    assert not report.is_petersen
+    assert not report["premise_holds"]
+    assert report["premise_witness"] is not None
+    assert report["premise_witness"]["spectrum"] == [4]
+    assert not report["claims"]["C4"]["holds"]
+    assert report["claims"]["C4"]["witness"] == {"cycle": [0, 1, 2]}
+    assert not report["claims"]["C5"]["holds"]
+    assert not report["is_petersen"]
     # vacuously fine: C8 and C6/C7 hold on K4
-    assert report.claim_results["C6"].holds
-    assert report.claim_results["C7"].holds
-    assert report.claim_results["C8"].holds
+    assert report["claims"]["C6"]["holds"]
+    assert report["claims"]["C7"]["holds"]
+    assert report["claims"]["C8"]["holds"]
 
 
 def test_prism_report_flags_non_star_cut(prism):
     report = verify_claims(prism)
-    assert not report.premise_holds
-    assert not report.claim_results["C7"].holds
-    witness = report.claim_results["C7"].witness
+    assert not report["premise_holds"]
+    assert not report["claims"]["C7"]["holds"]
+    witness = report["claims"]["C7"]["witness"]
     assert witness is not None
     cut_edges = witness["cut_edges"]
     assert [prism.edges[eid] for eid in cut_edges] == [(0, 3), (1, 4), (2, 5)]
@@ -55,26 +64,25 @@ def test_prism_report_flags_non_star_cut(prism):
 
 def test_bridged_report_flags_c6(bridged8):
     report = verify_claims(bridged8)
-    assert not report.claim_results["C6"].holds
-    witness = report.claim_results["C6"].witness
+    assert not report["claims"]["C6"]["holds"]
+    witness = report["claims"]["C6"]["witness"]
     assert witness == {"edge_connectivity": 1, "cut": [4]}
-    assert not report.claim_results["C1"].holds
+    assert not report["claims"]["C1"]["holds"]
 
 
 def test_c6_witness_is_the_first_disconnecting_subset(small_graphs):
     for g in small_graphs:
         lam = brute_edge_connectivity(g)
-        c6 = verify_claims(g).claim_results["C6"]
+        c6 = verify_claims(g)["claims"]["C6"]
         if lam == 3:
-            assert c6.holds and c6.witness is None
+            assert c6 == {"holds": True, "witness": None}
             continue
         first = next(
             list(subset)
             for subset in combinations(range(len(g.edges)), lam)
             if removal_disconnects(g, set(subset))
         )
-        assert not c6.holds
-        assert c6.witness == {"edge_connectivity": lam, "cut": first}
+        assert c6 == {"holds": False, "witness": {"edge_connectivity": lam, "cut": first}}
 
 
 def test_c8_equals_the_enumeration_oracle(
@@ -86,59 +94,59 @@ def test_c8_equals_the_enumeration_oracle(
     failing = 0
     for g in graphs:
         expected = c8_by_enumeration(g)
-        assert verify_claims(g).claim_results["C8"] == expected
-        failing += not expected.holds
+        assert verify_claims(g)["claims"]["C8"] == expected
+        failing += not expected["holds"]
     assert failing  # some witness is compared, not only verdicts
 
 
 def test_triple_edge_report(triple_edge):
     report = verify_claims(triple_edge)
-    assert not report.premise_holds
-    assert report.premise_witness["spectrum"] == [2]
-    assert not report.claim_results["C1"].holds
-    assert report.claim_results["C1"].witness == {"parallel_edge_ids": [0, 1]}
+    assert not report["premise_holds"]
+    assert report["premise_witness"]["spectrum"] == [2]
+    assert not report["claims"]["C1"]["holds"]
+    assert report["claims"]["C1"]["witness"] == {"parallel_edge_ids": [0, 1]}
 
 
 def test_heawood_report(heawood):
     # girth 6: all short-cycle claims hold, C5 and FINAL fail, premise
     # fails because a bipartite graph has only even factor cycles
     report = verify_claims(heawood)
-    assert not report.premise_holds
-    assert report.premise_witness is not None
-    assert all(length % 2 == 0 for length in report.premise_witness["spectrum"])
+    assert not report["premise_holds"]
+    assert report["premise_witness"] is not None
+    assert all(length % 2 == 0 for length in report["premise_witness"]["spectrum"])
     for cid in ("C1", "C2", "C3", "C4"):
-        assert report.claim_results[cid].holds
-    assert not report.claim_results["C5"].holds
-    assert report.claim_results["C5"].witness["girth"] == 6
-    assert not report.claim_results["FINAL"].holds
-    assert not report.is_petersen
-    assert report.claim_results["PROP4"].holds
+        assert report["claims"][cid]["holds"]
+    assert not report["claims"]["C5"]["holds"]
+    assert report["claims"]["C5"]["witness"]["girth"] == 6
+    assert not report["claims"]["FINAL"]["holds"]
+    assert not report["is_petersen"]
+    assert report["claims"]["PROP4"]["holds"]
 
 
 def test_premise_witness_is_the_first_failing_matching(prism, bridged8, triple_edge):
     # matchings are tried in enumeration order; the witness is the first
     # whose 2-factor has a cycle other than a 5-cycle
-    assert verify_claims(prism).premise_witness == {"matching": [0, 3, 8], "spectrum": [6]}
-    assert verify_claims(bridged8).premise_witness == {
+    assert verify_claims(prism)["premise_witness"] == {"matching": [0, 3, 8], "spectrum": [6]}
+    assert verify_claims(bridged8)["premise_witness"] == {
         "matching": [2, 4, 7, 10],
         "spectrum": [3, 5],
     }
-    assert verify_claims(triple_edge).premise_witness == {"matching": [0], "spectrum": [2]}
+    assert verify_claims(triple_edge)["premise_witness"] == {"matching": [0], "spectrum": [2]}
 
 
 def test_premise_witness_without_a_perfect_matching(no_perfect_matching10):
     report = verify_claims(no_perfect_matching10)
-    assert not report.premise_holds
-    assert report.premise_witness == {"reason": "no perfect matching"}
+    assert not report["premise_holds"]
+    assert report["premise_witness"] == {"reason": "no perfect matching"}
 
 
 def test_premise_failure_always_carries_a_matching_witness():
     for n in (4, 6, 8):
         for g in generate_cubic_graphs(n, allow_multi=True):
             report = verify_claims(g)
-            if not report.premise_holds and report.premise_witness is not None:
-                if "matching" in report.premise_witness:
-                    spectrum = report.premise_witness["spectrum"]
+            if not report["premise_holds"] and report["premise_witness"] is not None:
+                if "matching" in report["premise_witness"]:
+                    spectrum = report["premise_witness"]["spectrum"]
                     assert any(length != 5 for length in spectrum)
                     assert sum(spectrum) == g.n
 
@@ -152,9 +160,9 @@ def test_report_is_relabeling_invariant(petersen_graph, prism):
         rng.shuffle(perm)
         a = verify_claims(g)
         b = verify_claims(relabeled(g, perm))
-        assert a.graph_certificate == b.graph_certificate
-        assert {k: v.holds for k, v in a.claim_results.items()} == {
-            k: v.holds for k, v in b.claim_results.items()
+        assert a["graph_certificate"] == b["graph_certificate"]
+        assert {k: v["holds"] for k, v in a["claims"].items()} == {
+            k: v["holds"] for k, v in b["claims"].items()
         }
 
 
@@ -165,8 +173,8 @@ def test_verify_claims_rejects_disconnected(two_k4s_disconnected_edges):
 
 
 def _final(g):
-    result = verify_claims(g).claim_results["FINAL"]
-    return result.holds, result.witness
+    result = verify_claims(g)["claims"]["FINAL"]
+    return result["holds"], result["witness"]
 
 
 def test_neighborhood_structure_on_petersen(petersen_graph):
@@ -223,10 +231,32 @@ def test_neighborhood_structure_equals_the_three_part_oracle(
     assert holding == 21  # the Petersen graph and its relabelings, nothing else
 
 
-def test_report_json_shape(petersen_graph):
-    payload = verify_claims(petersen_graph).to_json_dict()
+def test_report_json_shape(
+    tmp_path,
+    capsys,
+    petersen_graph,
+    k4,
+    k33,
+    prism,
+    triple_edge,
+    bridged8,
+    heawood,
+    no_perfect_matching10,
+):
+    # the library's report is the JSON that verify prints: same keys, same
+    # values, JSON types only, and valid against the published schema
+    payload = verify_claims(petersen_graph)
     assert payload["is_petersen"] is True
     assert set(payload["claims"]) == set(CLAIM_IDS)
     assert payload["graph_certificate"] == canonical_form(petersen_graph).certificate.decode(
         "ascii"
     )
+    named = (k4, k33, prism, triple_edge, bridged8, heawood, no_perfect_matching10)
+    for i, g in enumerate((petersen_graph, *named)):
+        report = verify_claims(g)
+        jsonschema.validate(report, SCHEMA)
+        path = tmp_path / f"{i}.txt"
+        path.write_text(emit_edgelist(g))
+        code = main(["verify", "-i", str(path), "--format", "edgelist", "--output", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == report
