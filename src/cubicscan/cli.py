@@ -2,6 +2,8 @@
 
 Subcommands: ``analyze`` one graph, ``verify`` the claim chain on one
 graph, ``scan`` the exhaustive theorem check, ``generate`` a corpus.
+The argument parser is built once per process, on the first ``main``
+call, and serves every later call.
 
 Exit codes are a stable contract for CI use: 0 = success / expected
 result; 1 = only a scan's verdict, that its positives falsify the
@@ -14,6 +16,7 @@ status a shell reports for a tool that SIGPIPE stopped).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -160,6 +163,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubicscan",

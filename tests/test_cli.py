@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cubicscan.cli import main
+from cubicscan.cli import build_parser, main
 from cubicscan.formats import emit_edgelist, emit_sparse6
 from cubicscan.graphs import from_edge_list, relabeled
 
@@ -448,6 +448,30 @@ def test_scan_jobs_flag_changes_nothing(capsys):
         return payload
 
     assert scan("2") == scan("1")
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    # main reuses one parser per process: no value of one call's namespace
+    # (--multi) and no state of a usage error may reach the next call
+    assert build_parser() is build_parser()
+    elapsed = re.compile(r'("elapsed_seconds": )[-+0-9.eE]+')
+    argv = ["scan", "--n-max", "10", "--output", "json"]
+    assert main(["scan", "--n-max", "10", "--multi", "--output", "json"]) == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["verify", "--output", "xml"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    fresh = subprocess.run(
+        [sys.executable, "-m", "cubicscan.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert elapsed.sub(r"\1...", in_process) == elapsed.sub(r"\1...", fresh.stdout)
 
 
 def test_scan_exit_code_flags_unexpected_positives():
