@@ -26,7 +26,7 @@ from typing import Sequence
 from . import enumeration, matching, verifier
 from .connectivity import bridges, edge_connectivity, girth
 from .errors import CubicGraphError
-from .formats import CORPUS_PARSERS, emit_sparse6, iter_graph_lines, parse_edgelist
+from .formats import CORPUS_PARSERS, emit_sparse6, iter_graph_lines, parse_auto, parse_edgelist
 from .graphs import CubicGraph
 
 EXIT_OK = 0
@@ -36,7 +36,7 @@ EXIT_BROKEN_PIPE = 141
 
 # a dict of its own: single-graph input also takes an edge list, and the
 # benchmark tracer (perfbench/tracing.py) wraps these entries in place
-_PARSERS = {**CORPUS_PARSERS, "edgelist": parse_edgelist}
+_PARSERS = {**CORPUS_PARSERS, "auto": parse_auto, "edgelist": parse_edgelist}
 
 
 def _read_input(path: str) -> str:

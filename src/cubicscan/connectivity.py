@@ -1,27 +1,26 @@
 """Cuts, connectivity, girth, and small-cycle pattern detectors.
 
-All functions are pure and operate on immutable graphs. Detectors
-return the lexicographically smallest witness so that reports and
+All functions are pure and operate on immutable graphs. Each detector
+returns a witness fixed by the labeling alone, so that reports and
 golden tests are stable. Connectivity, bridges, edge connectivity and
 edge cuts all read one labeling: each edge's set of fundamental cycles
 as a bitmask, under which an edge set is a cut iff its labels XOR to 0.
-The spanning tree that the labeling is built on also gives each cut's
-two sides, read down the tree from vertex 0.
+A cut is the ascending tuple of its edge ids; ``cut_side`` reads the
+side that holds vertex 0 down the spanning tree the labeling is built
+on.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DisconnectedError
 from .graphs import CubicGraph
 
 __all__ = [
-    "CutSet",
     "is_connected",
     "bridges",
     "edge_connectivity",
@@ -31,26 +30,9 @@ __all__ = [
     "find_square_triangle_pair",
     "find_cycle_of_length",
     "edge_cuts",
+    "cut_side",
     "enumerate_3_edge_cuts",
 ]
-
-
-@dataclass(frozen=True)
-class CutSet:
-    """An edge cut together with the two sides it separates.
-
-    Removing ``edges`` disconnects ``side_u`` from ``side_ubar``; the
-    sides partition the vertex set and every cut edge crosses between
-    them.
-    """
-
-    edges: frozenset[int]
-    side_u: tuple[int, ...]
-    side_ubar: tuple[int, ...]
-
-    @property
-    def is_vertex_star(self) -> bool:
-        return len(self.side_u) == 1 or len(self.side_ubar) == 1
 
 
 def _cycle_labels(g: CubicGraph) -> tuple[int, list[int], list[int], list[int]]:
@@ -160,7 +142,12 @@ def girth(g: CubicGraph) -> int:
 
 
 def find_two_cycle(g: CubicGraph) -> tuple[int, int] | None:
-    """Smallest pair of parallel edge ids, or None if the graph is simple."""
+    """The first pair of parallel edge ids, or None if the graph is simple.
+
+    It is the first repeated endpoint pair in edge-id order, not the
+    smallest pair: on edges (0,1), (2,3), (2,3), (0,1), ... it is
+    (1, 2), not (0, 3).
+    """
     seen: dict[tuple[int, int], int] = {}
     for eid, pair in enumerate(g.edges):
         if pair in seen:
@@ -227,34 +214,25 @@ def find_cycle_of_length(g: CubicGraph, k: int) -> tuple[int, ...] | None:
     return next((c for a in range(g.n) for c in cycles([a])), None)
 
 
-def edge_cuts(g: CubicGraph, k: int) -> Iterator[CutSet]:
-    """Every edge cut of size exactly k >= 1, each with its two sides,
-    ordered by sorted cut edge ids.
+def edge_cuts(g: CubicGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """Every edge cut of size exactly k >= 1, as its ascending edge ids,
+    in ``combinations`` order.
 
     A k-subset is a cut iff its labels XOR to 0 (see ``_cycle_labels``).
     The (k-1)-subsets are walked in ``combinations`` order, and each is
     completed by every higher edge id whose label cancels the subset's
-    XOR, looked up by label. The sides are read down the labeling's BFS
-    tree from vertex 0, which is in ``side_u``: a vertex switches side
-    from its parent when its tree edge is in the cut. A cut meets every
-    cycle evenly, so every path gives a vertex the same side, and the
-    tree path is one. Sides need not be connected, which matters below
-    k-edge-connectivity. A bad k or a disconnected graph raises at the
-    call, before the first cut.
+    XOR, looked up by label. A bad k or a disconnected graph raises at
+    the call, before the first cut.
     """
     if k < 1:
         raise ValueError(f"cut size k must be at least 1, got k={k}")
-    count, labels, via, order = _cycle_labels(g)
+    count, labels, _, _ = _cycle_labels(g)
     if count != 1:
         raise DisconnectedError("cut enumeration requires a connected graph")
-    return _labeled_cuts(g, labels, via, order, k)
+    return _labeled_cuts(labels, k)
 
 
-def _labeled_cuts(
-    g: CubicGraph, labels: list[int], via: list[int], order: list[int], k: int
-) -> Iterator[CutSet]:
-    # (vertex, parent, tree edge) below the root 0, parents first
-    tree = [(v, g.other_endpoint(via[v], v), via[v]) for v in order[1:]]
+def _labeled_cuts(labels: list[int], k: int) -> Iterator[tuple[int, ...]]:
     by_label: dict[int, list[int]] = {}
     for eid, label in enumerate(labels):
         by_label.setdefault(label, []).append(eid)
@@ -264,18 +242,34 @@ def _labeled_cuts(
             rest ^= labels[eid]
         last = by_label.get(rest, ())
         for eid in last[bisect_right(last, prefix[-1]) if prefix else 0 :]:
-            cut = (*prefix, eid)
-            side = [1] * g.n
-            for v, parent, e in tree:
-                side[v] = side[parent] ^ (e in cut)
-            yield CutSet(
-                edges=frozenset(cut),
-                side_u=tuple(v for v in range(g.n) if side[v]),
-                side_ubar=tuple(v for v in range(g.n) if not side[v]),
-            )
+            yield (*prefix, eid)
 
 
-def enumerate_3_edge_cuts(g: CubicGraph) -> list[CutSet]:
+def enumerate_3_edge_cuts(g: CubicGraph) -> list[tuple[int, ...]]:
     """All edge cuts of size exactly 3; see ``edge_cuts``."""
     return list(edge_cuts(g, 3))
 
+
+def cut_side(g: CubicGraph, cut: Iterable[int]) -> tuple[int, ...]:
+    """The side of an edge cut that holds vertex 0, ascending; a
+    disconnected graph or an edge set that is not a cut raises.
+
+    A vertex switches side from its parent in the BFS tree of
+    ``_cycle_labels`` when its tree edge is in the cut. A cut meets
+    every cycle evenly, so every path gives a vertex the same side, and
+    the tree path is one. A side need not be connected; tree parity,
+    not a search of G - cut from vertex 0, gives such a side whole.
+    """
+    count, labels, via, order = _cycle_labels(g)
+    if count != 1:
+        raise DisconnectedError("a cut side requires a connected graph")
+    cut = set(cut)
+    rest = 0
+    for eid in cut:
+        rest ^= labels[eid]
+    if rest:
+        raise ValueError(f"edges {sorted(cut)} are not an edge cut")
+    side = [True] * g.n
+    for v in order[1:]:  # parents first, below the root 0
+        side[v] = side[g.other_endpoint(via[v], v)] ^ (via[v] in cut)
+    return tuple(v for v in range(g.n) if side[v])

@@ -186,22 +186,26 @@ def emit_edgelist(g: CubicGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_auto(text: bytes | str) -> CubicGraph:
-    """Sniff the format: sparse6 (':' or header), edge list, else graph6."""
-    data = _as_bytes(text).strip()
+def _parse_line(data: bytes) -> CubicGraph:
+    """One corpus line: sparse6 (':' or header), else graph6."""
     if data.startswith(_SPARSE6_HEADER) or data.startswith(b":"):
         return parse_sparse6(data)
-    if data.startswith(_GRAPH6_HEADER):
-        return parse_graph6(data)
-    first = data.splitlines()[0] if data else b""
-    fields = first.split()
-    if len(fields) == 2 and all(f.isdigit() for f in fields):
-        return parse_edgelist(data)
     return parse_graph6(data)
 
 
-# the formats a one-graph-per-line corpus may use, by name
-CORPUS_PARSERS = {"auto": parse_auto, "graph6": parse_graph6, "sparse6": parse_sparse6}
+def parse_auto(text: bytes | str) -> CubicGraph:
+    """Sniff the format: an edge list if the first line is two integers,
+    else one sparse6 or graph6 line."""
+    data = _as_bytes(text).strip()
+    fields = data.splitlines()[0].split() if data else []
+    if len(fields) == 2 and all(f.isdigit() for f in fields):
+        return parse_edgelist(data)
+    return _parse_line(data)
+
+
+# the formats a one-graph-per-line corpus may use, by name; an edge list
+# spans lines, so corpus "auto" never reads one
+CORPUS_PARSERS = {"auto": _parse_line, "graph6": parse_graph6, "sparse6": parse_sparse6}
 
 
 def iter_graph_lines(lines: Iterable[bytes | str], fmt: str = "auto") -> Iterator[CubicGraph]:

@@ -169,19 +169,19 @@ def verify_claims(g: CubicGraph) -> dict:
     claims["C6"] = _claim(
         None
         if lam == 3
-        else {
-            "edge_connectivity": lam,
-            "cut": sorted(next(connectivity.edge_cuts(g, lam)).edges),
-        }
+        else {"edge_connectivity": lam, "cut": list(next(connectivity.edge_cuts(g, lam)))}
     )
 
+    # in a connected graph a cut fixes its sides, so a cut is a vertex
+    # star exactly when it is one vertex's three edge ids
+    stars = {frozenset(eid for _, eid in row) for row in g.adjacency}
     nonstar = next(
-        (c for c in connectivity.enumerate_3_edge_cuts(g) if not c.is_vertex_star), None
+        (c for c in connectivity.enumerate_3_edge_cuts(g) if frozenset(c) not in stars), None
     )
     claims["C7"] = _claim(
         None
         if nonstar is None
-        else {"cut_edges": sorted(nonstar.edges), "side": list(nonstar.side_u)}
+        else {"cut_edges": list(nonstar), "side": list(connectivity.cut_side(g, nonstar))}
     )
 
     claims["C8"] = _check_c8(g)

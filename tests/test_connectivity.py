@@ -4,6 +4,7 @@ import pytest
 
 from cubicscan.connectivity import (
     bridges,
+    cut_side,
     edge_connectivity,
     edge_cuts,
     enumerate_3_edge_cuts,
@@ -110,6 +111,9 @@ def test_find_two_cycle(triple_edge, petersen_graph, k4):
     assert find_two_cycle(triple_edge) == (0, 1)
     assert find_two_cycle(petersen_graph) is None
     assert find_two_cycle(k4) is None
+    # the first repeated pair in edge-id order, not the smallest pair
+    g = CubicGraph(n=4, edges=((0, 1), (2, 3), (2, 3), (0, 1), (0, 2), (1, 3)))
+    assert find_two_cycle(g) == (1, 2)
 
 
 def test_find_adjacent_triangles(k4, petersen_graph, prism):
@@ -168,21 +172,29 @@ def test_find_cycle_of_length_equals_the_loop_nests(
 
 def test_3_edge_cuts_match_brute_force(petersen_graph, k4, prism, bridged8):
     for g in (petersen_graph, k4, prism, bridged8):
-        ours = {cut.edges for cut in enumerate_3_edge_cuts(g)}
+        ours = {frozenset(cut) for cut in enumerate_3_edge_cuts(g)}
         assert ours == brute_3_cut_edge_sets(g)
 
 
+def _stars(g):
+    """Each vertex's three edge ids."""
+    return {frozenset(eid for _, eid in row) for row in g.adjacency}
+
+
 def test_3_edge_cut_counts(petersen_graph, k4):
-    assert len(enumerate_3_edge_cuts(petersen_graph)) == 10
-    assert all(c.is_vertex_star for c in enumerate_3_edge_cuts(petersen_graph))
+    cuts = enumerate_3_edge_cuts(petersen_graph)
+    assert len(cuts) == 10
+    assert {frozenset(cut) for cut in cuts} == _stars(petersen_graph)
     assert len(enumerate_3_edge_cuts(k4)) == 4
 
 
 def test_every_cut_disconnects(petersen_graph, prism, bridged8, small_graphs):
     for g in (petersen_graph, prism, bridged8, *small_graphs):
         for cut in enumerate_3_edge_cuts(g):
-            assert removal_disconnects(g, set(cut.edges))
-            assert sorted(cut.side_u + cut.side_ubar) == list(range(g.n))
+            assert removal_disconnects(g, set(cut))
+            side = set(cut_side(g, cut))
+            crossing = [eid for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)]
+            assert crossing == list(cut)
 
 
 def test_edge_cuts_match_the_bipartition_scan_in_order(small_graphs, random_multigraphs):
@@ -191,29 +203,31 @@ def test_edge_cuts_match_the_bipartition_scan_in_order(small_graphs, random_mult
     multigraphs = [g for g in random_multigraphs if g.n <= 14 and is_connected(g)]
     for g in small_graphs + multigraphs:
         for k in (1, 2, 3):
-            ours = [
-                (sorted(cut.edges), cut.side_u, cut.side_ubar) for cut in edge_cuts(g, k)
-            ]
+            ours = []
+            for cut in edge_cuts(g, k):
+                side = cut_side(g, cut)
+                complement = tuple(v for v in range(g.n) if v not in side)
+                ours.append((list(cut), side, complement))
             assert ours == brute_edge_cuts_by_bipartition(g, k), k
 
 
 def test_single_edge_cuts_are_the_bridges(small_graphs):
     for g in small_graphs:
-        assert [sorted(cut.edges) for cut in edge_cuts(g, 1)] == [[b] for b in bridges(g)]
+        assert [list(cut) for cut in edge_cuts(g, 1)] == [[b] for b in bridges(g)]
 
 
 def test_3_edge_cuts_of_the_15_prism_are_the_30_vertex_stars(prism15):
     # a bipartition scan would visit 2^29 masks here
     cuts = enumerate_3_edge_cuts(prism15)
     assert len(cuts) == 30
-    assert all(cut.is_vertex_star for cut in cuts)
+    assert {frozenset(cut) for cut in cuts} == _stars(prism15)
 
 
 def test_3_edge_cuts_of_the_100_vertex_prism_are_the_vertex_stars(prism50):
     # a component search per edge triple would visit 551,300 subsets here
     cuts = enumerate_3_edge_cuts(prism50)
     assert len(cuts) == 100
-    assert all(cut.is_vertex_star for cut in cuts)
+    assert {frozenset(cut) for cut in cuts} == _stars(prism50)
     assert edge_connectivity(prism50) == 3
     assert bridges(prism50) == []
 
@@ -232,6 +246,15 @@ def test_edge_cuts_require_connected_input(two_k4s_disconnected_edges):
         next(edge_cuts(g, 1))
 
 
+def test_cut_side_rejects_a_non_cut_and_a_disconnected_graph(prism, two_k4s_disconnected_edges):
+    assert cut_side(prism, (6, 7, 8)) == (0, 1, 2)
+    with pytest.raises(ValueError, match="not an edge cut"):
+        cut_side(prism, (0, 1, 2))
+    g = CubicGraph(n=8, edges=tuple(two_k4s_disconnected_edges))
+    with pytest.raises(DisconnectedError):
+        cut_side(g, ())
+
+
 def test_edge_cuts_reject_k_below_one(k4):
     for k in (0, -1):
         with pytest.raises(ValueError, match=f"k={k}"):
@@ -248,5 +271,4 @@ def test_trivial_cut_predicate(petersen_graph, k4, prism, small_graphs):
     assert not c7(prism)
     for g in small_graphs:
         if g.n <= 8:
-            stars = {frozenset(eid for _, eid in row) for row in g.adjacency}
-            assert c7(g) == (brute_3_cut_edge_sets(g) <= stars), g.edges
+            assert c7(g) == (brute_3_cut_edge_sets(g) <= _stars(g)), g.edges

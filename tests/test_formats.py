@@ -176,6 +176,14 @@ def test_iter_graph_lines_skips_blanks(k4, prism):
     assert is_isomorphic(parsed[1], prism)
 
 
+def test_corpus_auto_reads_no_line_as_an_edge_list(k4, petersen_graph):
+    # an edge list spans lines, so its header "4 6" is one bad graph6 line
+    with pytest.raises(FormatError, match="size byte 52 is outside 63..126"):
+        list(iter_graph_lines(emit_edgelist(k4).splitlines()))
+    lines = [emit_sparse6(petersen_graph), b">>graph6<<C~", b"C~"]
+    assert [g.n for g in iter_graph_lines(lines)] == [10, 4, 4]
+
+
 def test_iter_graph_lines_names_the_supported_formats(k4):
     for fmt in ("edgelist", "dot"):
         with pytest.raises(FormatError, match=f"'{fmt}': use one of auto, graph6, sparse6"):

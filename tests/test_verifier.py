@@ -16,6 +16,7 @@ from cubicscan.graphs import CubicGraph, canonical_form, relabeled
 from cubicscan.verifier import CLAIM_IDS, verify_claims
 from oracles import (
     brute_edge_connectivity,
+    brute_edge_cuts_by_bipartition,
     c8_by_enumeration,
     count_five_cycles_through_path,
     neighborhood_structure_by_parts,
@@ -83,6 +84,33 @@ def test_c6_witness_is_the_first_disconnecting_subset(small_graphs):
             if removal_disconnects(g, set(subset))
         )
         assert c6 == {"holds": False, "witness": {"edge_connectivity": lam, "cut": first}}
+
+
+def test_c7_witness_is_the_first_cut_with_two_larger_sides(small_graphs, random_multigraphs):
+    multigraphs = [g for g in random_multigraphs if g.n <= 14 and is_connected(g)]
+    failing = 0
+    for g in small_graphs + multigraphs:
+        first = next(
+            (
+                {"cut_edges": edges, "side": list(side_u)}
+                for edges, side_u, side_ubar in brute_edge_cuts_by_bipartition(g, 3)
+                if len(side_u) > 1 and len(side_ubar) > 1
+            ),
+            None,
+        )
+        assert verify_claims(g)["claims"]["C7"] == {"holds": first is None, "witness": first}
+        failing += first is not None
+    assert failing
+
+
+def test_c7_witness_side_may_be_disconnected():
+    # a chain of digons: the first non-star cut separates 2, 3, 4 from
+    # the rest, so the side of vertex 0 is {0, 1} and {5, 6, 7}
+    edges = [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 4), (4, 5)]
+    g = CubicGraph(n=8, edges=tuple(edges + [(5, 6), (5, 7), (6, 7), (6, 7)]))
+    witness = verify_claims(g)["claims"]["C7"]["witness"]
+    assert witness == {"cut_edges": [2, 3, 7], "side": [0, 1, 5, 6, 7]}
+    assert not any({u, v} & {0, 1} and {u, v} & {5, 6, 7} for u, v in g.edges)
 
 
 def test_c8_equals_the_enumeration_oracle(
