@@ -3,6 +3,7 @@
 from .graphs import (
     CanonicalForm,
     CubicGraph,
+    CubicGraphError,
     canonical_form,
     from_edge_list,
     is_isomorphic,
@@ -15,6 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalForm",
     "CubicGraph",
+    "CubicGraphError",
     "canonical_form",
     "from_edge_list",
     "is_isomorphic",

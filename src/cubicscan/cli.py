@@ -25,9 +25,8 @@ from typing import Sequence
 
 from . import enumeration, matching, verifier
 from .connectivity import bridges, edge_connectivity, girth
-from .errors import CubicGraphError
 from .formats import CORPUS_PARSERS, emit_sparse6, iter_graph_lines, parse_auto, parse_edgelist
-from .graphs import CubicGraph
+from .graphs import CubicGraph, CubicGraphError
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -231,7 +230,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (CubicGraphError, OSError, ValueError) as exc:
+    # input that is not ASCII fails to decode (a file) or to encode (stdin)
+    except (CubicGraphError, OSError, UnicodeError) as exc:
         print(f"cubicscan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -17,8 +17,7 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import DisconnectedError
-from .graphs import CubicGraph
+from .graphs import CubicGraph, CubicGraphError
 
 __all__ = [
     "is_connected",
@@ -109,7 +108,7 @@ def edge_connectivity(g: CubicGraph) -> int:
     """
     count, labels, _, _ = _cycle_labels(g)
     if count != 1:
-        raise DisconnectedError("edge connectivity requires a connected graph")
+        raise CubicGraphError("edge connectivity requires a connected graph")
     if 0 in labels:
         return 1
     return 2 if len(set(labels)) < len(labels) else 3
@@ -228,7 +227,7 @@ def edge_cuts(g: CubicGraph, k: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"cut size k must be at least 1, got k={k}")
     count, labels, _, _ = _cycle_labels(g)
     if count != 1:
-        raise DisconnectedError("cut enumeration requires a connected graph")
+        raise CubicGraphError("cut enumeration requires a connected graph")
     return _labeled_cuts(labels, k)
 
 
@@ -262,7 +261,7 @@ def cut_side(g: CubicGraph, cut: Iterable[int]) -> tuple[int, ...]:
     """
     count, labels, via, order = _cycle_labels(g)
     if count != 1:
-        raise DisconnectedError("a cut side requires a connected graph")
+        raise CubicGraphError("a cut side requires a connected graph")
     cut = set(cut)
     rest = 0
     for eid in cut:

@@ -32,15 +32,8 @@ import time
 from typing import Iterable, Iterator
 
 from . import connectivity, matching
-from .errors import (
-    DisconnectedError,
-    DuplicateGraphError,
-    GenerationLimitError,
-    OddVertexCountError,
-    PreconditionError,
-)
 from .formats import emit_sparse6
-from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
+from .graphs import CubicGraph, CubicGraphError, canonical_form, is_isomorphic, petersen
 from .graphs import _cell_end, _min_block, _ranked, _refine
 from .graphs import is_canonical_labeling  # unused here: perfbench/tracing.py wraps it by this name
 
@@ -61,15 +54,15 @@ def _check_generation_bounds(n: int, allow_multi: bool) -> range:
     for multigraphs, 4 for simple graphs). Raises unless n is even, at
     least the floor and at most DEFAULT_MULTI_LIMIT or DEFAULT_SIMPLE_LIMIT."""
     if n % 2:
-        raise OddVertexCountError(f"no cubic graph has an odd vertex count (n={n})")
+        raise CubicGraphError(f"no cubic graph has an odd vertex count (n={n})")
     floor = 2 if allow_multi else 4
     if n < floor:
-        raise GenerationLimitError(
+        raise CubicGraphError(
             f"n={n} is below the smallest {'multigraph' if allow_multi else 'simple graph'} ({floor})"
         )
     cap = DEFAULT_MULTI_LIMIT if allow_multi else DEFAULT_SIMPLE_LIMIT
     if n > cap:
-        raise GenerationLimitError(f"n={n} exceeds the configured limit {cap}")
+        raise CubicGraphError(f"n={n} exceeds the configured limit {cap}")
     return range(floor, n + 1, 2)
 
 
@@ -239,11 +232,10 @@ def scan_theorem(n_max: int, allow_multi: bool = False) -> dict:
 def scan_corpus(graphs: Iterable[CubicGraph]) -> dict:
     """Scan a user-supplied corpus instead of the internal generator.
 
-    The theorem is about connected graphs, so the first disconnected
-    graph raises DisconnectedError; counts are per isomorphism class, so
-    the first graph isomorphic to an earlier one raises
-    DuplicateGraphError. A corpus with no graph at all raises
-    PreconditionError, since a scan of nothing answers nothing.
+    Raises CubicGraphError at the first disconnected graph, since the
+    theorem is about connected graphs; at the first graph isomorphic to
+    an earlier one, since counts are per isomorphism class; and for a
+    corpus with no graph at all, since a scan of nothing answers nothing.
     """
     started = time.perf_counter()
     by_n: dict[int, list[CubicGraph]] = {}
@@ -251,13 +243,13 @@ def scan_corpus(graphs: Iterable[CubicGraph]) -> dict:
     any_multi = False
     for g in graphs:
         if not connectivity.is_connected(g):
-            raise DisconnectedError("scan requires connected graphs")
+            raise CubicGraphError("scan requires connected graphs")
         cert = canonical_form(g).certificate
         if cert in seen:
-            raise DuplicateGraphError("corpus contains isomorphic duplicates")
+            raise CubicGraphError("corpus contains isomorphic duplicates")
         seen.add(cert)
         by_n.setdefault(g.n, []).append(g)
         any_multi = any_multi or g.has_parallel_edges
     if not by_n:
-        raise PreconditionError("corpus has no graphs")
+        raise CubicGraphError("corpus has no graphs")
     return _scan_report(sorted(by_n.items()), any_multi, started)

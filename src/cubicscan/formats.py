@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import FormatError, LoopError
-from .graphs import CubicGraph, from_edge_list
+from .graphs import CubicGraph, CubicGraphError, from_edge_list
 
 __all__ = [
     "parse_sparse6",
@@ -55,7 +54,7 @@ def _pack(bits: str) -> bytes:
 
 def _check_body(body: bytes, fmt: str) -> None:
     if any(b < 63 or b > 126 for b in body):
-        raise FormatError(f"{fmt} body contains bytes outside 63..126")
+        raise CubicGraphError(f"{fmt} body contains bytes outside 63..126")
 
 
 def _width(n: int) -> int:
@@ -66,17 +65,19 @@ def _width(n: int) -> int:
 def _decode_size(data: bytes) -> tuple[int, bytes]:
     """Read the vertex-count field N(n), return (n, remaining bytes)."""
     if not data:
-        raise FormatError("empty graph encoding")
+        raise CubicGraphError("empty graph encoding")
     if not 63 <= data[0] <= 126:
-        raise FormatError(f"size byte {data[0]} is outside 63..126")
+        raise CubicGraphError(f"size byte {data[0]} is outside 63..126")
     if data[0] != 126:
         return data[0] - 63, data[1:]
     if len(data) > 1 and data[1] == 126:
-        raise FormatError("vertex counts above 258047 are not supported")
+        raise CubicGraphError("vertex counts above 258047 are not supported")
     if len(data) < 4:
-        raise FormatError("extended size field is truncated: '~' must be followed by 3 size bytes")
+        raise CubicGraphError(
+            "extended size field is truncated: '~' must be followed by 3 size bytes"
+        )
     if any(b < 63 or b > 126 for b in data[1:4]):
-        raise FormatError("malformed extended size field")
+        raise CubicGraphError("malformed extended size field")
     return int(_bits(data[1:4]), 2), data[4:]
 
 
@@ -85,21 +86,21 @@ def _encode_size(n: int) -> bytes:
         return bytes([n + 63])
     if n <= 258047:
         return b"~" + _pack(f"{n:018b}")
-    raise FormatError(f"cannot encode n={n}")
+    raise CubicGraphError(f"cannot encode n={n}")
 
 
 def parse_sparse6(text: bytes | str) -> CubicGraph:
     """Decode one sparse6 line into a cubic multigraph.
 
-    Raises FormatError for malformed input, LoopError if the encoding
-    contains a loop, and DegreeError if the graph is not cubic.
+    Raises CubicGraphError for malformed input, for an encoded loop and
+    for a graph that is not cubic.
     """
     data = _as_bytes(text).strip().removeprefix(_SPARSE6_HEADER)
     if not data.startswith(b":"):
-        raise FormatError("sparse6 line must start with ':'")
+        raise CubicGraphError("sparse6 line must start with ':'")
     n, body = _decode_size(data[1:])
     if n < 1:
-        raise FormatError("sparse6 encodes an empty vertex set")
+        raise CubicGraphError("sparse6 encodes an empty vertex set")
     _check_body(body, "sparse6")
     k = _width(n)
     bits = _bits(body)
@@ -115,7 +116,7 @@ def parse_sparse6(text: bytes | str) -> CubicGraph:
         if x > v:
             v = x
         elif x == v:
-            raise LoopError(f"sparse6 input encodes a loop at vertex {v}")
+            raise CubicGraphError(f"sparse6 input encodes a loop at vertex {v}")
         else:
             edges.append((x, v))
     return from_edge_list(n, edges)
@@ -144,12 +145,12 @@ def parse_graph6(text: bytes | str) -> CubicGraph:
     """Decode one graph6 line (simple graphs); reject non-cubic graphs."""
     data = _as_bytes(text).strip().removeprefix(_GRAPH6_HEADER)
     if data.startswith(b":"):
-        raise FormatError("input is sparse6, not graph6")
+        raise CubicGraphError("input is sparse6, not graph6")
     n, body = _decode_size(data)
     _check_body(body, "graph6")
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
-        raise FormatError(
+        raise CubicGraphError(
             f"graph6 body has {len(body)} bytes, expected {(need + 5) // 6} for n={n}"
         )
     # the upper triangle column by column: bit v(v-1)/2 + u is the pair u < v
@@ -159,11 +160,11 @@ def parse_graph6(text: bytes | str) -> CubicGraph:
 
 
 def _int_pair(line: str, form: str) -> tuple[int, int]:
-    """The two integers of a line; FormatError naming the expected form otherwise."""
+    """The two integers of a line; CubicGraphError naming the expected form otherwise."""
     try:
         a, b = map(int, line.split())
     except ValueError as exc:
-        raise FormatError(f"{form}, got {line!r}") from exc
+        raise CubicGraphError(f"{form}, got {line!r}") from exc
     return a, b
 
 
@@ -173,10 +174,10 @@ def parse_edgelist(text: bytes | str) -> CubicGraph:
         text = text.decode("ascii")
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not lines:
-        raise FormatError("empty edge-list input")
+        raise CubicGraphError("empty edge-list input")
     n, m = _int_pair(lines[0], "edge-list header must be 'n m'")
     if len(lines) - 1 != m:
-        raise FormatError(f"edge-list declares {m} edges but has {len(lines) - 1} lines")
+        raise CubicGraphError(f"edge-list declares {m} edges but has {len(lines) - 1} lines")
     return from_edge_list(n, [_int_pair(line, "edge line must be 'u v'") for line in lines[1:]])
 
 
@@ -194,11 +195,11 @@ def _parse_line(data: bytes) -> CubicGraph:
 
 
 def parse_auto(text: bytes | str) -> CubicGraph:
-    """Sniff the format: an edge list if the first line is two integers,
-    else one sparse6 or graph6 line."""
+    """Sniff the format: an edge list if the first line has more than one
+    field (no graph6 or sparse6 line holds whitespace), else one sparse6
+    or graph6 line."""
     data = _as_bytes(text).strip()
-    fields = data.splitlines()[0].split() if data else []
-    if len(fields) == 2 and all(f.isdigit() for f in fields):
+    if data and len(data.splitlines()[0].split()) > 1:
         return parse_edgelist(data)
     return _parse_line(data)
 
@@ -210,9 +211,9 @@ CORPUS_PARSERS = {"auto": _parse_line, "graph6": parse_graph6, "sparse6": parse_
 
 def iter_graph_lines(lines: Iterable[bytes | str], fmt: str = "auto") -> Iterator[CubicGraph]:
     """Parse a one-graph-per-line corpus in graph6/sparse6 format; any
-    other ``fmt`` raises FormatError."""
+    other ``fmt`` raises CubicGraphError."""
     if fmt not in CORPUS_PARSERS:
-        raise FormatError(
+        raise CubicGraphError(
             f"unsupported corpus format {fmt!r}: use one of {', '.join(CORPUS_PARSERS)}"
         )
     parser = CORPUS_PARSERS[fmt]

@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConstructionError, DegreeError, LoopError, OddVertexCountError
-
 __all__ = [
+    "CubicGraphError",
     "CubicGraph",
     "CanonicalForm",
     "from_edge_list",
@@ -46,6 +45,12 @@ __all__ = [
     "is_isomorphic",
     "is_canonical_labeling",
 ]
+
+
+class CubicGraphError(Exception):
+    """Every failure this package detects: input outside the domain of a
+    command or function, such as a non-cubic or disconnected graph, a
+    malformed encoding or a vertex count the generator does not serve."""
 
 
 @dataclass(frozen=True)
@@ -62,27 +67,27 @@ class CubicGraph:
 
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2:
-            raise OddVertexCountError(
+            raise CubicGraphError(
                 f"cubic graphs need an even vertex count >= 2, got n={self.n}"
             )
         if len(self.edges) != 3 * self.n // 2:
-            raise DegreeError(
+            raise CubicGraphError(
                 f"a cubic graph on {self.n} vertices has {3 * self.n // 2} "
                 f"edges, got {len(self.edges)}"
             )
         degree = [0] * self.n
         for u, v in self.edges:
             if u == v:
-                raise LoopError(f"loop at vertex {u}")
+                raise CubicGraphError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DegreeError(f"edge ({u}, {v}) has an endpoint outside [0, {self.n})")
+                raise CubicGraphError(f"edge ({u}, {v}) has an endpoint outside [0, {self.n})")
             if u > v:
-                raise ConstructionError(f"edge ({u}, {v}) is not ordered u < v; use from_edge_list")
+                raise CubicGraphError(f"edge ({u}, {v}) is not ordered u < v; use from_edge_list")
             degree[u] += 1
             degree[v] += 1
         bad = [v for v, d in enumerate(degree) if d != 3]
         if bad:
-            raise DegreeError(f"vertices {bad} do not have degree 3")
+            raise CubicGraphError(f"vertices {bad} do not have degree 3")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -137,8 +142,8 @@ class CanonicalForm:
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> CubicGraph:
     """Build a cubic multigraph from endpoint pairs.
 
-    Edge ids are assigned in input order. Raises a distinct
-    ConstructionError subclass for odd n, loops, and degree violations.
+    Edge ids are assigned in input order. Raises CubicGraphError for
+    odd n, loops, and degree violations.
     """
     normalized = tuple((u, v) if u < v else (v, u) for u, v in pairs)
     return CubicGraph(n=n, edges=normalized)

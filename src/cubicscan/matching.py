@@ -48,8 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import MatchingError
-from .graphs import CubicGraph
+from .graphs import CubicGraph, CubicGraphError
 
 __all__ = [
     "PerfectMatching",
@@ -214,7 +213,7 @@ def enumerate_perfect_matchings(g: CubicGraph) -> tuple[PerfectMatching, ...]:
 def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
     """Each vertex's matched edge id.
 
-    Raises ``MatchingError`` unless the ids are a perfect matching,
+    Raises ``CubicGraphError`` unless the ids are a perfect matching,
     naming the first id out of range or else the first vertex not
     covered exactly once.
     """
@@ -223,7 +222,7 @@ def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
     size = 0
     for eid in matching:
         if not 0 <= eid < len(edges):
-            raise MatchingError(f"edge id {eid} out of range")
+            raise CubicGraphError(f"edge id {eid} out of range")
         u, v = edges[eid]
         matched[u] = matched[v] = eid
         size += 1
@@ -234,7 +233,7 @@ def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
             for v in edges[eid]:
                 covers[v] += 1
         v = next(v for v, count in enumerate(covers) if count != 1)
-        raise MatchingError(f"matching covers vertex {v} {covers[v]} times, not once")
+        raise CubicGraphError(f"matching covers vertex {v} {covers[v]} times, not once")
     return matched
 
 
@@ -243,7 +242,7 @@ def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> TwoFac
 
     Each cycle starts at its smallest vertex and walks toward the
     smaller (neighbor, edge id) entry first; cycles are ordered by
-    their smallest vertex. Raises ``MatchingError`` unless the ids are
+    their smallest vertex. Raises ``CubicGraphError`` unless the ids are
     a perfect matching.
     """
     matched = _matched_edge_ids(g, matching)

@@ -42,8 +42,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from . import connectivity, matching
-from .errors import DisconnectedError
-from .graphs import CubicGraph, canonical_form, is_isomorphic, petersen
+from .graphs import CubicGraph, CubicGraphError, canonical_form, is_isomorphic, petersen
 from .matching import _matching_search
 
 __all__ = [
@@ -128,7 +127,7 @@ def verify_claims(g: CubicGraph) -> dict:
     """Evaluate the premise and every claim predicate on one graph, as
     the dict that ``verify --output json`` prints."""
     if not connectivity.is_connected(g):
-        raise DisconnectedError("claim verification requires a connected graph")
+        raise CubicGraphError("claim verification requires a connected graph")
 
     two_cycle = connectivity.find_two_cycle(g)
     claims = {

@@ -330,7 +330,9 @@ def test_scan_without_n_max_or_input_exits_two(capsys):
 
 
 @pytest.mark.parametrize(
-    "error", [RuntimeError("boom"), MemoryError()], ids=["RuntimeError", "MemoryError"]
+    "error",
+    [RuntimeError("boom"), MemoryError(), ValueError("boom")],
+    ids=["RuntimeError", "MemoryError", "ValueError"],
 )
 def test_internal_error_exits_two_with_its_traceback(capsys, monkeypatch, petersen_graph, error):
     # exit 1 is the scan's verdict alone: an exception that no command

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cubicscan import CubicGraphError
 from cubicscan.connectivity import (
     bridges,
     cut_side,
@@ -15,7 +16,6 @@ from cubicscan.connectivity import (
     girth,
     is_connected,
 )
-from cubicscan.errors import DisconnectedError
 from cubicscan.graphs import CubicGraph
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.verifier import verify_claims
@@ -68,7 +68,7 @@ def test_edge_connectivity_matches_brute_force_on_generated_graphs():
 
 def test_edge_connectivity_requires_connected_input(two_k4s_disconnected_edges):
     g = CubicGraph(n=8, edges=tuple(two_k4s_disconnected_edges))
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(CubicGraphError, match="^edge connectivity requires a connected graph$"):
         edge_connectivity(g)
 
 
@@ -242,7 +242,7 @@ def test_bridges_of_a_disconnected_graph(bridged8, k4):
 
 def test_edge_cuts_require_connected_input(two_k4s_disconnected_edges):
     g = CubicGraph(n=8, edges=tuple(two_k4s_disconnected_edges))
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(CubicGraphError, match="^cut enumeration requires a connected graph$"):
         next(edge_cuts(g, 1))
 
 
@@ -251,7 +251,7 @@ def test_cut_side_rejects_a_non_cut_and_a_disconnected_graph(prism, two_k4s_disc
     with pytest.raises(ValueError, match="not an edge cut"):
         cut_side(prism, (0, 1, 2))
     g = CubicGraph(n=8, edges=tuple(two_k4s_disconnected_edges))
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(CubicGraphError, match="^a cut side requires a connected graph$"):
         cut_side(g, ())
 
 

@@ -8,12 +8,12 @@ import jsonschema
 import pytest
 
 import cubicscan.enumeration
+from cubicscan import CubicGraphError
 from cubicscan.enumeration import (
     generate_cubic_graphs,
     scan_corpus,
     scan_theorem,
 )
-from cubicscan.errors import GenerationLimitError, OddVertexCountError
 from cubicscan.graphs import canonical_form, is_canonical_labeling, petersen
 from oracles import (
     dfs_is_canonical_labeling,
@@ -92,16 +92,16 @@ def test_generator_emits_canonical_representatives_without_duplicates():
 
 
 def test_generator_bounds(monkeypatch):
-    with pytest.raises(OddVertexCountError):
+    with pytest.raises(CubicGraphError, match=r"^no cubic graph has an odd vertex count \(n=7\)$"):
         list(generate_cubic_graphs(7))
-    with pytest.raises(GenerationLimitError):
+    with pytest.raises(CubicGraphError, match=r"^n=2 is below the smallest simple graph \(4\)$"):
         list(generate_cubic_graphs(2))  # simple graphs start at 4
-    with pytest.raises(GenerationLimitError):
+    with pytest.raises(CubicGraphError, match="^n=18 exceeds the configured limit 16$"):
         list(generate_cubic_graphs(18))
-    with pytest.raises(GenerationLimitError):
+    with pytest.raises(CubicGraphError, match="^n=14 exceeds the configured limit 12$"):
         list(generate_cubic_graphs(14, allow_multi=True))
     monkeypatch.setattr(cubicscan.enumeration, "DEFAULT_SIMPLE_LIMIT", 6)
-    with pytest.raises(GenerationLimitError):
+    with pytest.raises(CubicGraphError, match="^n=8 exceeds the configured limit 6$"):
         list(generate_cubic_graphs(8))
     # the module constants are the caps, so raising them reaches further
     monkeypatch.setattr(cubicscan.enumeration, "DEFAULT_MULTI_LIMIT", 14)
@@ -174,9 +174,9 @@ def test_scan_corpus_mode(petersen_graph, k4, prism):
 
 
 def test_scan_rejects_odd_or_oversized_bounds():
-    with pytest.raises(OddVertexCountError):
+    with pytest.raises(CubicGraphError, match=r"^no cubic graph has an odd vertex count \(n=9\)$"):
         scan_theorem(9)
-    with pytest.raises(GenerationLimitError):
+    with pytest.raises(CubicGraphError, match="^n=14 exceeds the configured limit 12$"):
         scan_theorem(14, allow_multi=True)
-    with pytest.raises(GenerationLimitError):
+    with pytest.raises(CubicGraphError, match="^n=18 exceeds the configured limit 16$"):
         scan_theorem(18)

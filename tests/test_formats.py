@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from cubicscan.enumeration import generate_cubic_graphs
-from cubicscan.errors import DegreeError, FormatError, LoopError
+from cubicscan import CubicGraphError
 from cubicscan.formats import (
     emit_edgelist,
     emit_sparse6,
@@ -78,14 +78,14 @@ def test_sparse6_header_accepted(petersen_graph):
 
 
 def test_sparse6_rejects_missing_colon():
-    with pytest.raises(FormatError):
+    with pytest.raises(CubicGraphError, match="^sparse6 line must start with ':'$"):
         parse_sparse6(b"A_")
 
 
 def test_sparse6_rejects_non_cubic():
     four_cycle = nx.cycle_graph(4)
     data = nx.to_sparse6_bytes(nx.MultiGraph(four_cycle), header=False)
-    with pytest.raises(DegreeError):
+    with pytest.raises(CubicGraphError, match="^a cubic graph on 4 vertices has 6 edges, got 4$"):
         parse_sparse6(data)
 
 
@@ -93,33 +93,33 @@ def test_sparse6_rejects_loops():
     loopy = nx.MultiGraph()
     loopy.add_edges_from([(0, 0), (0, 1), (1, 1)])
     data = nx.to_sparse6_bytes(loopy, header=False)
-    with pytest.raises(LoopError):
+    with pytest.raises(CubicGraphError, match="^sparse6 input encodes a loop at vertex 0$"):
         parse_sparse6(data)
 
 
 def test_size_bytes_below_63_are_rejected():
     # '0' is byte 48; read as a size it would give n = -15
-    with pytest.raises(FormatError, match="size byte 48"):
+    with pytest.raises(CubicGraphError, match="size byte 48"):
         parse_graph6(b"0")
-    with pytest.raises(FormatError, match="size byte 48"):
+    with pytest.raises(CubicGraphError, match="size byte 48"):
         parse_sparse6(b":0")
 
 
 def test_truncated_extended_size_field_is_named():
     # '~' announces three more size bytes; fewer is not a vertex count above 258047
     for size in (b"~", b"~?", b"~??"):
-        with pytest.raises(FormatError, match="extended size field is truncated"):
+        with pytest.raises(CubicGraphError, match="extended size field is truncated"):
             parse_graph6(size)
-        with pytest.raises(FormatError, match="extended size field is truncated"):
+        with pytest.raises(CubicGraphError, match="extended size field is truncated"):
             parse_sparse6(b":" + size)
-    with pytest.raises(FormatError, match="above 258047"):
+    with pytest.raises(CubicGraphError, match="above 258047"):
         parse_graph6(b"~~??????")
 
 
 def test_sparse6_emission_rejects_a_vertex_count_above_258047(prism258048):
     # the size field is checked first, so no body is built for a graph it refuses
     start = time.perf_counter()
-    with pytest.raises(FormatError) as info:
+    with pytest.raises(CubicGraphError) as info:
         emit_sparse6(prism258048)
     assert time.perf_counter() - start < 0.1
     assert str(info.value) == "cannot encode n=258048"
@@ -137,7 +137,7 @@ def test_graph6_matches_networkx_on_petersen(petersen_graph):
 
 def test_graph6_rejects_non_cubic():
     data = nx.to_graph6_bytes(nx.cycle_graph(6), header=False)
-    with pytest.raises(DegreeError):
+    with pytest.raises(CubicGraphError, match="^a cubic graph on 6 vertices has 9 edges, got 6$"):
         parse_graph6(data)
 
 
@@ -148,12 +148,12 @@ def test_edgelist_round_trip(petersen_graph):
 
 
 def test_edgelist_rejects_bad_header():
-    with pytest.raises(FormatError):
+    with pytest.raises(CubicGraphError, match="^edge-list header must be 'n m', got 'banana'$"):
         parse_edgelist("banana\n0 1\n")
 
 
 def test_edgelist_rejects_wrong_edge_count():
-    with pytest.raises(FormatError):
+    with pytest.raises(CubicGraphError, match="^edge-list declares 3 edges but has 2 lines$"):
         parse_edgelist("2 3\n0 1\n0 1\n")
 
 
@@ -178,7 +178,7 @@ def test_iter_graph_lines_skips_blanks(k4, prism):
 
 def test_corpus_auto_reads_no_line_as_an_edge_list(k4, petersen_graph):
     # an edge list spans lines, so its header "4 6" is one bad graph6 line
-    with pytest.raises(FormatError, match="size byte 52 is outside 63..126"):
+    with pytest.raises(CubicGraphError, match="size byte 52 is outside 63..126"):
         list(iter_graph_lines(emit_edgelist(k4).splitlines()))
     lines = [emit_sparse6(petersen_graph), b">>graph6<<C~", b"C~"]
     assert [g.n for g in iter_graph_lines(lines)] == [10, 4, 4]
@@ -186,7 +186,7 @@ def test_corpus_auto_reads_no_line_as_an_edge_list(k4, petersen_graph):
 
 def test_iter_graph_lines_names_the_supported_formats(k4):
     for fmt in ("edgelist", "dot"):
-        with pytest.raises(FormatError, match=f"'{fmt}': use one of auto, graph6, sparse6"):
+        with pytest.raises(CubicGraphError, match=f"'{fmt}': use one of auto, graph6, sparse6"):
             list(iter_graph_lines([emit_sparse6(k4)], fmt))
 
 
@@ -207,50 +207,54 @@ def test_codec_matches_networkx_on_every_generated_graph(prism32, prism50):
 
 
 @pytest.mark.parametrize(
-    "parser, data, error, message",
+    "parser, data, kind, message",
     [
-        (parse_graph6, b"", FormatError, "empty graph encoding"),
-        (parse_sparse6, b":", FormatError, "empty graph encoding"),
-        (parse_graph6, b">>graph6<<", FormatError, "empty graph encoding"),
-        (parse_graph6, b"0", FormatError, "size byte 48 is outside 63..126"),
-        (parse_sparse6, b":\x7f", FormatError, "size byte 127 is outside 63..126"),
-        (parse_graph6, b"~~??????", FormatError, "vertex counts above 258047 are not supported"),
-        (parse_sparse6, b":~~", FormatError, "vertex counts above 258047 are not supported"),
+        (parse_graph6, b"", "FormatError", "empty graph encoding"),
+        (parse_sparse6, b":", "FormatError", "empty graph encoding"),
+        (parse_graph6, b">>graph6<<", "FormatError", "empty graph encoding"),
+        (parse_graph6, b"0", "FormatError", "size byte 48 is outside 63..126"),
+        (parse_sparse6, b":\x7f", "FormatError", "size byte 127 is outside 63..126"),
+        (parse_graph6, b"~~??????", "FormatError", "vertex counts above 258047 are not supported"),
+        (parse_sparse6, b":~~", "FormatError", "vertex counts above 258047 are not supported"),
         (
             parse_graph6,
             b"~?",
-            FormatError,
+            "FormatError",
             "extended size field is truncated: '~' must be followed by 3 size bytes",
         ),
         (
             parse_sparse6,
             b":~??",
-            FormatError,
+            "FormatError",
             "extended size field is truncated: '~' must be followed by 3 size bytes",
         ),
-        (parse_graph6, b"~?0?", FormatError, "malformed extended size field"),
-        (parse_sparse6, b":~??\x7f", FormatError, "malformed extended size field"),
-        (parse_sparse6, b"A_", FormatError, "sparse6 line must start with ':'"),
-        (parse_sparse6, b">>sparse6<<A_", FormatError, "sparse6 line must start with ':'"),
-        (parse_sparse6, b":?", FormatError, "sparse6 encodes an empty vertex set"),
-        (parse_sparse6, b":A0", FormatError, "sparse6 body contains bytes outside 63..126"),
-        (parse_sparse6, b":A_\x7f", FormatError, "sparse6 body contains bytes outside 63..126"),
-        (parse_sparse6, b":A?", LoopError, "sparse6 input encodes a loop at vertex 0"),
-        (parse_sparse6, b":A~", LoopError, "sparse6 input encodes a loop at vertex 1"),
-        (parse_graph6, b":A_", FormatError, "input is sparse6, not graph6"),
-        (parse_graph6, b"C0", FormatError, "graph6 body contains bytes outside 63..126"),
-        (parse_graph6, b"C~~", FormatError, "graph6 body has 2 bytes, expected 1 for n=4"),
-        (parse_graph6, b"C", FormatError, "graph6 body has 0 bytes, expected 1 for n=4"),
+        (parse_graph6, b"~?0?", "FormatError", "malformed extended size field"),
+        (parse_sparse6, b":~??\x7f", "FormatError", "malformed extended size field"),
+        (parse_sparse6, b"A_", "FormatError", "sparse6 line must start with ':'"),
+        (parse_sparse6, b">>sparse6<<A_", "FormatError", "sparse6 line must start with ':'"),
+        (parse_sparse6, b":?", "FormatError", "sparse6 encodes an empty vertex set"),
+        (parse_sparse6, b":A0", "FormatError", "sparse6 body contains bytes outside 63..126"),
+        (parse_sparse6, b":A_\x7f", "FormatError", "sparse6 body contains bytes outside 63..126"),
+        (parse_sparse6, b":A?", "LoopError", "sparse6 input encodes a loop at vertex 0"),
+        (parse_sparse6, b":A~", "LoopError", "sparse6 input encodes a loop at vertex 1"),
+        (parse_graph6, b":A_", "FormatError", "input is sparse6, not graph6"),
+        (parse_graph6, b"C0", "FormatError", "graph6 body contains bytes outside 63..126"),
+        (parse_graph6, b"C~~", "FormatError", "graph6 body has 2 bytes, expected 1 for n=4"),
+        (parse_graph6, b"C", "FormatError", "graph6 body has 0 bytes, expected 1 for n=4"),
         # a byte out of range and the wrong length: the range check fires first
-        (parse_graph6, b"C~0", FormatError, "graph6 body contains bytes outside 63..126"),
-        (parse_edgelist, b"", FormatError, "empty edge-list input"),
-        (parse_edgelist, b"4 6 1", FormatError, "edge-list header must be 'n m', got '4 6 1'"),
-        (parse_edgelist, b"1 1\n0", FormatError, "edge line must be 'u v', got '0'"),
-        (parse_edgelist, b"1 1\n0 x", FormatError, "edge line must be 'u v', got '0 x'"),
+        (parse_graph6, b"C~0", "FormatError", "graph6 body contains bytes outside 63..126"),
+        (parse_edgelist, b"", "FormatError", "empty edge-list input"),
+        (parse_edgelist, b"4 6 1", "FormatError", "edge-list header must be 'n m', got '4 6 1'"),
+        (parse_edgelist, b"1 1\n0", "FormatError", "edge line must be 'u v', got '0'"),
+        (parse_edgelist, b"1 1\n0 x", "FormatError", "edge line must be 'u v', got '0 x'"),
+        # a first line with more than one field is an edge-list header
+        (parse_auto, b"3 x", "FormatError", "edge-list header must be 'n m', got '3 x'"),
+        (parse_auto, b"4 6 7", "FormatError", "edge-list header must be 'n m', got '4 6 7'"),
     ],
 )
-def test_malformed_encodings_get_their_messages(parser, data, error, message):
-    with pytest.raises(error) as info:
+def test_malformed_encodings_get_their_messages(parser, data, kind, message):
+    # ``kind`` only labels the case in its test id, which stays stable:
+    # a malformed encoding or an encoded loop
+    with pytest.raises(CubicGraphError) as info:
         parser(data)
-    assert type(info.value) is error
     assert str(info.value) == message

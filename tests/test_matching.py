@@ -6,9 +6,8 @@ from itertools import combinations, zip_longest
 
 import pytest
 
-from cubicscan import matching
+from cubicscan import CubicGraphError, matching
 from cubicscan.enumeration import generate_cubic_graphs
-from cubicscan.errors import MatchingError
 from cubicscan.matching import (
     all_two_factors_are_five_cycles,
     complementary_two_factor,
@@ -292,10 +291,22 @@ def _non_matchings(k4, petersen_graph, triple_edge):
             yield g, ids
 
 
+def _non_matching_message(g, ids):
+    """The failure an id set names: an id out of range, else the first
+    vertex it does not cover exactly once."""
+    out_of_range = [eid for eid in ids if not 0 <= eid < len(g.edges)]
+    if out_of_range:
+        return f"edge id {out_of_range[0]} out of range"
+    covers = [sum(v in g.edges[eid] for eid in ids) for v in range(g.n)]
+    v = next(v for v, count in enumerate(covers) if count != 1)
+    return f"matching covers vertex {v} {covers[v]} times, not once"
+
+
 def test_complementary_two_factor_rejects_non_matching(k4, petersen_graph, triple_edge):
     for g, ids in _non_matchings(k4, petersen_graph, triple_edge):
-        with pytest.raises(MatchingError):
+        with pytest.raises(CubicGraphError) as info:
             complementary_two_factor(g, ids)
+        assert str(info.value) == _non_matching_message(g, ids)
 
 
 def test_two_factor_spectra_equal_the_cycle_walk_in_order(

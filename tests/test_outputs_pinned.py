@@ -22,6 +22,7 @@ import pytest
 from cubicscan.cli import main
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.formats import emit_edgelist, emit_sparse6
+from cubicscan.graphs import from_edge_list
 
 PINNED = json.loads((Path(__file__).with_name("outputs_pinned.json")).read_text())
 
@@ -70,6 +71,59 @@ def _verify_runs(inputs: list[str]) -> list[tuple[list[str], str]]:
     ]
 
 
+def _rejected_runs(request) -> list[tuple[list[str], str]]:
+    """One run per message with which a command refuses its input or options.
+
+    The file runs read from a temporary working directory, so the paths
+    in their messages are the same on every machine."""
+    disconnected = request.getfixturevalue("two_k4s_disconnected_edges")
+    edges = "".join(f"{u} {v}\n" for u, v in disconnected)
+    k4 = _sparse6(request.getfixturevalue("k4"))
+    workdir = request.getfixturevalue("tmp_path")
+    request.getfixturevalue("monkeypatch").chdir(workdir)
+    (workdir / "non-ascii.s6").write_bytes("\u00e9\n".encode("utf-8"))
+    return [
+        (["verify", "--format", "edgelist"], f"8 12\n{edges}"),
+        (["verify", "--format", "sparse6"], ":not a graph\n"),
+        (["generate", "--n", "7"], ""),
+        (["scan", "--n-max", "2"], ""),
+        (["scan", "--n-max", "18"], ""),
+        (["scan", "--n-max", "14", "--multi"], ""),
+        (["scan"], ""),
+        (["scan", "-i", "-", "--n-max", "10"], ""),
+        (["scan", "-i", "-", "--multi"], ""),
+        (["scan", "-i", "-"], ""),
+        (["scan", "-i", "-"], k4 + k4),
+        (["scan", "-i", "-"], _sparse6(from_edge_list(8, disconnected))),
+        (["analyze"], f"8 12\n{edges}"),
+        (["analyze"], "2 3\n0 0\n0 1\n1 1\n"),
+        (["analyze"], "4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n"),
+        (["analyze"], "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 4\n"),
+        (["analyze"], "4 6\n0 1\n0 1\n0 2\n0 3\n1 2\n2 3\n"),
+        (["analyze"], "3 1\n0 1\n"),
+        (["analyze"], "4 6\n0 1\n"),
+        (["analyze"], "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 x\n"),
+        (["analyze", "--format", "edgelist"], "3 x\n"),
+        (["analyze", "--format", "edgelist"], ""),
+        (["analyze"], ":Cc\n"),
+        (["analyze"], ":A?\n"),
+        (["analyze"], ":?\n"),
+        (["analyze", "--format", "sparse6"], "C\n"),
+        (["analyze", "--format", "graph6"], ""),
+        (["analyze"], "!\n"),
+        (["analyze"], "C\n"),
+        (["analyze"], "C!\n"),
+        (["analyze"], "~A\n"),
+        (["analyze"], "~AB!\n"),
+        (["analyze", "--format", "graph6"], k4),
+        (["analyze"], "~~\n"),
+        (["analyze", "-i", "missing.s6"], ""),
+        (["analyze", "-i", "non-ascii.s6"], ""),
+        (["analyze", "-i", "-"], "\u00e9\n"),
+        (["scan", "-i", "-"], "\u00e9\n"),
+    ]
+
+
 def _family_runs(family: str, request) -> list[tuple[list[str], str]]:
     """The (argv, stdin) pairs of one command family."""
     if family == "verify-simple-n12":
@@ -100,12 +154,7 @@ def _family_runs(family: str, request) -> list[tuple[list[str], str]]:
     if family == "generate-multi-n8":
         return [(["generate", "--n", "8", "--multi"], "")]
     if family == "rejected":
-        disconnected = request.getfixturevalue("two_k4s_disconnected_edges")
-        edges = "".join(f"{u} {v}\n" for u, v in disconnected)
-        return [
-            (["verify", "--format", "edgelist"], f"8 12\n{edges}"),
-            (["verify", "--format", "sparse6"], ":not a graph\n"),
-        ]
+        return _rejected_runs(request)
     raise AssertionError(f"unknown family {family}")
 
 

@@ -7,10 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from cubicscan import CubicGraphError
 from cubicscan.cli import main
 from cubicscan.connectivity import girth, is_connected
 from cubicscan.enumeration import generate_cubic_graphs
-from cubicscan.errors import DisconnectedError
 from cubicscan.formats import emit_edgelist
 from cubicscan.graphs import CubicGraph, canonical_form, relabeled
 from cubicscan.verifier import CLAIM_IDS, verify_claims
@@ -196,7 +196,7 @@ def test_report_is_relabeling_invariant(petersen_graph, prism):
 
 def test_verify_claims_rejects_disconnected(two_k4s_disconnected_edges):
     g = CubicGraph(n=8, edges=tuple(two_k4s_disconnected_edges))
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(CubicGraphError, match="^claim verification requires a connected graph$"):
         verify_claims(g)
 
 
