@@ -50,8 +50,8 @@ def _load_single_graph(args: argparse.Namespace) -> CubicGraph:
 
 
 def _emit_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    # one write: json.dump with indent writes each token on its own
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

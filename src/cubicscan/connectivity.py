@@ -5,9 +5,10 @@ returns a witness fixed by the labeling alone, so that reports and
 golden tests are stable. Connectivity, bridges, edge connectivity and
 edge cuts all read one labeling: each edge's set of fundamental cycles
 as a bitmask, under which an edge set is a cut iff its labels XOR to 0.
-A cut is the ascending tuple of its edge ids; ``cut_side`` reads the
-side that holds vertex 0 down the spanning tree the labeling is built
-on.
+The labeling is built once per graph and kept on it, as ``adjacency``
+is, so a graph asked several cut questions builds it once. A cut is
+the ascending tuple of its edge ids; ``cut_side`` reads the side that
+holds vertex 0 down the spanning tree the labeling is built on.
 """
 
 from __future__ import annotations
@@ -34,7 +35,19 @@ __all__ = [
 ]
 
 
-def _cycle_labels(g: CubicGraph) -> tuple[int, list[int], list[int], list[int]]:
+_CycleLabels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _cycle_labels(g: CubicGraph) -> _CycleLabels:
+    """``_build_cycle_labels(g)``, built on the first call for g and kept
+    in g's instance dict, where ``cached_property`` keeps ``adjacency``."""
+    labels = g.__dict__.get("_cycle_labels")
+    if labels is None:
+        labels = g.__dict__["_cycle_labels"] = _build_cycle_labels(g)
+    return labels
+
+
+def _build_cycle_labels(g: CubicGraph) -> _CycleLabels:
     """Component count; per edge id, the set of fundamental cycles
     through that edge as a bitmask; and the BFS spanning forest the
     labels come from, as the tree edge into each vertex (-1 at a root)
@@ -88,7 +101,7 @@ def _cycle_labels(g: CubicGraph) -> tuple[int, list[int], list[int], list[int]]:
         if via[v] >= 0:
             labels[via[v]] = acc[v]
             acc[g.other_endpoint(via[v], v)] ^= acc[v]
-    return count, labels, via, order
+    return count, tuple(labels), tuple(via), tuple(order)
 
 
 def is_connected(g: CubicGraph) -> bool:
@@ -231,7 +244,7 @@ def edge_cuts(g: CubicGraph, k: int) -> Iterator[tuple[int, ...]]:
     return _labeled_cuts(labels, k)
 
 
-def _labeled_cuts(labels: list[int], k: int) -> Iterator[tuple[int, ...]]:
+def _labeled_cuts(labels: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
     by_label: dict[int, list[int]] = {}
     for eid, label in enumerate(labels):
         by_label.setdefault(label, []).append(eid)

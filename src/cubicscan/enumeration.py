@@ -13,7 +13,8 @@ soon as one of them gives a smaller block. Relabelings that the prefix
 cannot yet tell apart travel together as the cell records of ``graphs``,
 through the tie step of the canonical form. When the last vertex is
 complete they have run the whole lexmin search of the canonical form,
-so every finished graph is canonical and is yielded as it is. The tests
+so every finished graph is canonical and is yielded as it is, with the
+identity stored as its canonical form (see ``graphs``). The tests
 check the output against the canonical form, a depth-first canonicity
 oracle, brute-force labeled enumeration and a tie frontier kept one
 relabeling per permutation.
@@ -34,7 +35,7 @@ from typing import Iterable, Iterator
 from . import connectivity, matching
 from .formats import emit_sparse6
 from .graphs import CubicGraph, CubicGraphError, canonical_form, is_isomorphic, petersen
-from .graphs import _cell_end, _min_block, _ranked, _refine
+from .graphs import _cell_end, _min_block, _ranked, _refine, _store_canonical
 from .graphs import is_canonical_labeling  # unused here: perfbench/tracing.py wraps it by this name
 
 __all__ = [
@@ -164,10 +165,15 @@ def _blockwise_labeled_graphs(n: int, allow_multi: bool) -> Iterator[tuple[tuple
 
 def generate_cubic_graphs(n: int, allow_multi: bool = False) -> Iterator[CubicGraph]:
     """All connected cubic (multi)graphs on n vertices, one per
-    isomorphism class, in ascending canonical edge-list order."""
+    isomorphism class, in ascending canonical edge-list order.
+
+    Each graph is its own canonical form, which the generator has
+    already proved, so the identity labeling is stored as its canonical
+    form and ``canonical_form`` runs no search on it."""
     _check_generation_bounds(n, allow_multi)
+    identity = tuple(range(n))
     for edges in _blockwise_labeled_graphs(n, allow_multi):
-        yield CubicGraph(n=n, edges=edges)
+        yield _store_canonical(CubicGraph(n=n, edges=edges), identity, edges)
 
 
 def _scan_one_n(graphs: Iterable[CubicGraph]) -> dict:

@@ -26,6 +26,15 @@ step level by level on all records, the orderly generator in
 ``enumeration`` on those of its growing prefix. Certificates are equal
 exactly for isomorphic graphs; the tests check them against permutation
 brute force and a search with one relabeling per permutation.
+
+Two canonical forms are known without the search, so they are stored
+on the graph (``_store_canonical``) and the search never runs for them:
+``petersen()`` keeps its labeling and stores the canonical one, a
+constant, because every ``verify`` and every scan positive compares
+with it; and ``enumeration.generate_cubic_graphs`` stores the identity,
+because orderly generation yields only graphs that are their own
+canonical form. The tests check both against the search on an
+unstored copy.
 """
 
 from __future__ import annotations
@@ -149,12 +158,20 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> CubicGraph:
     return CubicGraph(n=n, edges=normalized)
 
 
+# the labeling the search gives the Petersen graph as petersen() builds it
+_PETERSEN_LABELING = (0, 1, 4, 6, 2, 3, 5, 8, 9, 7)
+
+
 def petersen() -> CubicGraph:
-    """The Petersen graph: outer 5-cycle 0..4, inner pentagram 5..9, spokes."""
+    """The Petersen graph: outer 5-cycle 0..4, inner pentagram 5..9, spokes.
+
+    Its canonical form is stored from a constant labeling, so comparing
+    a graph with it runs no search on the Petersen side."""
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
-    return from_edge_list(10, outer + inner + spokes)
+    g = from_edge_list(10, outer + inner + spokes)
+    return _store_canonical(g, _PETERSEN_LABELING, sorted(relabeled(g, _PETERSEN_LABELING).edges))
 
 
 def relabeled(g: CubicGraph, mapping: Sequence[int]) -> CubicGraph:
@@ -186,6 +203,16 @@ def is_canonical_labeling(g: CubicGraph) -> bool:
         upward[u].append(v)
     search = _lexmin_blocks(g.n, g.neighbor_lists)
     return all(blk == tuple(up) for (blk, _), up in zip(search, upward))
+
+
+def _store_canonical(
+    g: CubicGraph, labeling: tuple[int, ...], edges: Sequence[tuple[int, int]]
+) -> CubicGraph:
+    """g, with its canonical form stored in the slot that ``_canonical``
+    caches into: ``labeling``, which the caller knows to be canonical,
+    and ``edges``, the sorted edge list of g relabeled by it."""
+    g.__dict__["_canonical"] = CanonicalForm(labeling, _certificate(g.n, edges))
+    return g
 
 
 def _certificate(n: int, edges: Iterable[tuple[int, int]]) -> bytes:

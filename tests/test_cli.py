@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import cubicscan.graphs
 from cubicscan.cli import build_parser, main
 from cubicscan.formats import emit_edgelist, emit_sparse6
 from cubicscan.graphs import from_edge_list, relabeled
@@ -409,6 +410,29 @@ def test_stdin_input(capsys, monkeypatch, petersen_graph):
     out = capsys.readouterr().out
     assert code == 0
     assert "perfect matchings   6" in out
+
+
+def test_known_canonical_forms_are_not_searched_again(capsys, monkeypatch, petersen_graph):
+    # petersen() and the generator store their canonical forms, so verify on
+    # Petersen searches only the parsed graph, and the scan searches nothing
+    import io
+
+    real = cubicscan.graphs._lexmin_blocks
+    searches = []
+
+    def counted(n, adj):
+        searches.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(cubicscan.graphs, "_lexmin_blocks", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(emit_edgelist(petersen_graph)))
+    assert main(["verify", "--format", "edgelist", "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_petersen"]
+    assert searches == [10]
+    searches.clear()
+    assert main(["scan", "--n-max", "10", "--output", "json"]) == 0
+    assert [p["is_petersen"] for p in json.loads(capsys.readouterr().out)["positives"]] == [True]
+    assert searches == []
 
 
 def test_size_byte_below_63_exits_two(capsys, monkeypatch):

@@ -14,7 +14,13 @@ from cubicscan.enumeration import (
     scan_corpus,
     scan_theorem,
 )
-from cubicscan.graphs import canonical_form, is_canonical_labeling, petersen
+from cubicscan.graphs import (
+    CubicGraph,
+    canonical_form,
+    from_edge_list,
+    is_canonical_labeling,
+    petersen,
+)
 from oracles import (
     dfs_is_canonical_labeling,
     isomorphism_classes,
@@ -70,6 +76,14 @@ def test_every_generated_graph_is_its_own_canonical_form():
                     assert dfs_is_canonical_labeling(g)
 
 
+def test_every_generated_graph_stores_the_form_the_search_finds():
+    # the generator stores the identity; a rebuilt copy runs the search
+    for allow_multi, n_max in ((False, 12), (True, 10)):
+        for n in range(2 if allow_multi else 4, n_max + 1, 2):
+            for g in generate_cubic_graphs(n, allow_multi=allow_multi):
+                assert canonical_form(g) == canonical_form(CubicGraph(g.n, g.edges))
+
+
 def test_generator_counts():
     for n, count in SIMPLE_COUNTS.items():
         assert sum(1 for _ in generate_cubic_graphs(n)) == count
@@ -84,7 +98,7 @@ def test_generator_reaches_the_16_vertex_count():
 def test_generator_emits_canonical_representatives_without_duplicates():
     for n in (6, 8):
         graphs = list(generate_cubic_graphs(n, allow_multi=True))
-        certs = {canonical_form(g).certificate for g in graphs}
+        certs = {canonical_form(CubicGraph(g.n, g.edges)).certificate for g in graphs}
         assert len(certs) == len(graphs)
         assert all(is_canonical_labeling(g) for g in graphs)
         edge_lists = [g.edges for g in graphs]
@@ -122,7 +136,7 @@ def test_scan_to_ten_finds_exactly_petersen():
     report = scan_theorem(10)
     assert [p["n"] for p in report["positives"]] == [10]
     assert report["positives"][0]["is_petersen"]
-    expected = canonical_form(petersen()).certificate.decode("ascii")
+    expected = canonical_form(from_edge_list(10, petersen().edges)).certificate.decode("ascii")
     assert report["positives"][0]["certificate"] == expected
 
 

@@ -100,6 +100,11 @@ def test_petersen_has_ten_vertices_fifteen_edges(petersen_graph):
     assert len(petersen_graph.edges) == 15
 
 
+def test_petersen_stores_the_form_the_search_finds():
+    # petersen() stores its canonical form; an unstored copy runs the search
+    assert canonical_form(petersen()) == canonical_form(from_edge_list(10, petersen().edges))
+
+
 def test_certificate_invariant_under_100_random_relabelings(petersen_graph, prism, bridged8):
     rng = random.Random(20240517)
     for g in (petersen_graph, prism, bridged8):

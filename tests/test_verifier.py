@@ -7,12 +7,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import cubicscan.connectivity
 from cubicscan import CubicGraphError
 from cubicscan.cli import main
 from cubicscan.connectivity import girth, is_connected
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.formats import emit_edgelist
-from cubicscan.graphs import CubicGraph, canonical_form, relabeled
+from cubicscan.graphs import CubicGraph, canonical_form, from_edge_list, petersen, relabeled
 from cubicscan.verifier import CLAIM_IDS, verify_claims
 from oracles import (
     brute_edge_connectivity,
@@ -288,3 +289,21 @@ def test_report_json_shape(
         code = main(["verify", "-i", str(path), "--format", "edgelist", "--output", "json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out) == report
+
+
+def test_verify_claims_builds_the_cut_labels_once_per_graph(monkeypatch, bridged8, prism):
+    # bridged8 asks every cut question: connectivity, edge connectivity, a
+    # C6 witness cut, the 3-edge cuts and a C7 witness side; prism all but C6's
+    real = cubicscan.connectivity._build_cycle_labels
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cubicscan.connectivity, "_build_cycle_labels", counted)
+    graphs = [from_edge_list(g.n, g.edges) for g in (bridged8, prism, petersen())]
+    reports = [verify_claims(g) for g in graphs]
+    assert reports[0]["claims"]["C6"]["witness"] is not None
+    assert all(report["claims"]["C7"]["witness"] is not None for report in reports[:2])
+    assert [id(g) for g in built] == [id(g) for g in graphs]
