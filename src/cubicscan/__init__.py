@@ -1,7 +1,6 @@
 """Cubic-graph structural analysis and exhaustive scanning toolkit."""
 
 from .graphs import (
-    CanonicalForm,
     CubicGraph,
     CubicGraphError,
     canonical_form,
@@ -14,7 +13,6 @@ from .graphs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalForm",
     "CubicGraph",
     "CubicGraphError",
     "canonical_form",

@@ -13,11 +13,11 @@ soon as one of them gives a smaller block. Relabelings that the prefix
 cannot yet tell apart travel together as the cell records of ``graphs``,
 through the tie step of the canonical form. When the last vertex is
 complete they have run the whole lexmin search of the canonical form,
-so every finished graph is canonical and is yielded as it is, with the
-identity stored as its canonical form (see ``graphs``). The tests
-check the output against the canonical form, a depth-first canonicity
-oracle, brute-force labeled enumeration and a tie frontier kept one
-relabeling per permutation.
+so every finished graph is canonical and is yielded as it is, with its
+own sorted edge list stored as its certificate (see ``graphs``). The
+tests check the output against the canonical form, a depth-first
+canonicity oracle, brute-force labeled enumeration and a tie frontier
+kept one relabeling per permutation.
 
 The scan runs the all-5-cycle premise over every generated connected
 bridgeless graph and reports the graphs that satisfy it. It takes the
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 from . import connectivity, matching
 from .formats import emit_sparse6
 from .graphs import CubicGraph, CubicGraphError, canonical_form, is_isomorphic, petersen
-from .graphs import _cell_end, _min_block, _ranked, _refine, _store_canonical
+from .graphs import _cell_end, _certificate, _min_block, _ranked, _refine, _store_canonical
 from .graphs import is_canonical_labeling  # unused here: perfbench/tracing.py wraps it by this name
 
 __all__ = [
@@ -168,12 +168,11 @@ def generate_cubic_graphs(n: int, allow_multi: bool = False) -> Iterator[CubicGr
     isomorphism class, in ascending canonical edge-list order.
 
     Each graph is its own canonical form, which the generator has
-    already proved, so the identity labeling is stored as its canonical
-    form and ``canonical_form`` runs no search on it."""
+    already proved, so its own edge list is stored as its certificate
+    and ``canonical_form`` runs no search on it."""
     _check_generation_bounds(n, allow_multi)
-    identity = tuple(range(n))
     for edges in _blockwise_labeled_graphs(n, allow_multi):
-        yield _store_canonical(CubicGraph(n=n, edges=edges), identity, edges)
+        yield _store_canonical(CubicGraph(n=n, edges=edges), _certificate(n, edges))
 
 
 def _scan_one_n(graphs: Iterable[CubicGraph]) -> dict:
@@ -191,7 +190,7 @@ def _scan_one_n(graphs: Iterable[CubicGraph]) -> dict:
         positives.append(
             {
                 "n": g.n,
-                "certificate": canonical_form(g).certificate.decode("ascii"),
+                "certificate": canonical_form(g),
                 "sparse6": emit_sparse6(g).decode("ascii"),
                 "is_petersen": is_isomorphic(g, petersen()),
             }
@@ -245,12 +244,12 @@ def scan_corpus(graphs: Iterable[CubicGraph]) -> dict:
     """
     started = time.perf_counter()
     by_n: dict[int, list[CubicGraph]] = {}
-    seen: set[bytes] = set()
+    seen: set[str] = set()
     any_multi = False
     for g in graphs:
         if not connectivity.is_connected(g):
             raise CubicGraphError("scan requires connected graphs")
-        cert = canonical_form(g).certificate
+        cert = canonical_form(g)
         if cert in seen:
             raise CubicGraphError("corpus contains isomorphic duplicates")
         seen.add(cert)

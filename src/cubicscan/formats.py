@@ -187,11 +187,21 @@ def emit_edgelist(g: CubicGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_line(data: bytes) -> CubicGraph:
-    """One corpus line: sparse6 (':' or header), else graph6."""
+def _parse_encoded(data: bytes) -> CubicGraph:
+    """sparse6 (':' or header), else graph6."""
     if data.startswith(_SPARSE6_HEADER) or data.startswith(b":"):
         return parse_sparse6(data)
     return parse_graph6(data)
+
+
+def _parse_line(data: bytes) -> CubicGraph:
+    """One corpus line, sparse6 or graph6; no such line holds whitespace."""
+    if len(data.split()) > 1:
+        raise CubicGraphError(
+            "a corpus takes one graph6 or sparse6 line per graph, "
+            f"got {data.decode('ascii', 'replace')!r}"
+        )
+    return _parse_encoded(data)
 
 
 def parse_auto(text: bytes | str) -> CubicGraph:
@@ -201,7 +211,7 @@ def parse_auto(text: bytes | str) -> CubicGraph:
     data = _as_bytes(text).strip()
     if data and len(data.splitlines()[0].split()) > 1:
         return parse_edgelist(data)
-    return _parse_line(data)
+    return _parse_encoded(data)
 
 
 # the formats a one-graph-per-line corpus may use, by name; an edge list

@@ -1,4 +1,4 @@
-"""Cubic multigraph representation, canonical labeling, and isomorphism.
+"""Cubic multigraph representation, canonical forms, and isomorphism.
 
 A graph is stored as an immutable edge list over dense vertex indices.
 Edges are first-class: the id of an edge is its position in the edge
@@ -23,18 +23,22 @@ splits the touched cells by multiplicity, so the new cells hold exactly
 the relabelings that reach it (partition backtracking, after McKay,
 "Practical graph isomorphism", 1981). The canonical search runs the
 step level by level on all records, the orderly generator in
-``enumeration`` on those of its growing prefix. Certificates are equal
-exactly for isomorphic graphs; the tests check them against permutation
-brute force and a search with one relabeling per permutation.
+``enumeration`` on those of its growing prefix.
 
-Two canonical forms are known without the search, so they are stored
-on the graph (``_store_canonical``) and the search never runs for them:
-``petersen()`` keeps its labeling and stores the canonical one, a
-constant, because every ``verify`` and every scan positive compares
-with it; and ``enumeration.generate_cubic_graphs`` stores the identity,
-because orderly generation yields only graphs that are their own
-canonical form. The tests check both against the search on an
-unstored copy.
+A graph's canonical form is its certificate, the text every report
+prints: the vertex count, then the canonical sorted edge list, as in
+``"10|0-1,0-2,..."``. Certificates are equal exactly for isomorphic
+graphs; the tests check them against permutation brute force and a
+search with one relabeling per permutation, and read the relabeling
+that reaches them from the last order ``_lexmin_blocks`` yields.
+
+Two certificates are known without the search, so they are stored on
+the graph (``_store_canonical``) and the search never runs for them:
+``petersen()`` stores a constant, because every ``verify`` and every
+scan positive compares with it; and ``enumeration.generate_cubic_graphs``
+stores the graph's own sorted edge list, because orderly generation
+yields only graphs that are their own canonical form. The tests check
+both against the search on an unstored copy.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "CubicGraphError",
     "CubicGraph",
-    "CanonicalForm",
     "from_edge_list",
     "petersen",
     "relabeled",
@@ -117,13 +120,9 @@ class CubicGraph:
         return len(set(self.edges)) != len(self.edges)
 
     @cached_property
-    def _canonical(self) -> "CanonicalForm":
-        levels = list(_lexmin_blocks(self.n, self.neighbor_lists))
-        labeling = [0] * self.n
-        for new, old in enumerate(levels[-1][1]):
-            labeling[old] = new
-        edges = [(t, w) for t, (blk, _) in enumerate(levels) for w in blk]
-        return CanonicalForm(labeling=tuple(labeling), certificate=_certificate(self.n, edges))
+    def _canonical(self) -> str:
+        blocks = _lexmin_blocks(self.n, self.neighbor_lists)
+        return _certificate(self.n, [(t, w) for t, (blk, _) in enumerate(blocks) for w in blk])
 
     def other_endpoint(self, eid: int, vertex: int) -> int:
         u, v = self.edges[eid]
@@ -132,20 +131,6 @@ class CubicGraph:
         if vertex == v:
             return u
         raise ValueError(f"vertex {vertex} is not an endpoint of edge {eid}")
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical labeling of a graph plus its isomorphism certificate.
-
-    ``labeling[v]`` is the canonical label of vertex ``v``; applying it
-    yields the lexicographically smallest edge list among all
-    relabelings. Two graphs are isomorphic iff their certificates are
-    equal byte strings.
-    """
-
-    labeling: tuple[int, ...]
-    certificate: bytes
 
 
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> CubicGraph:
@@ -158,20 +143,19 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> CubicGraph:
     return CubicGraph(n=n, edges=normalized)
 
 
-# the labeling the search gives the Petersen graph as petersen() builds it
-_PETERSEN_LABELING = (0, 1, 4, 6, 2, 3, 5, 8, 9, 7)
+# the certificate the search gives the Petersen graph
+_PETERSEN_CERTIFICATE = "10|0-1,0-2,0-3,1-4,1-5,2-6,2-7,3-8,3-9,4-6,4-8,5-7,5-9,6-9,7-8"
 
 
 def petersen() -> CubicGraph:
     """The Petersen graph: outer 5-cycle 0..4, inner pentagram 5..9, spokes.
 
-    Its canonical form is stored from a constant labeling, so comparing
-    a graph with it runs no search on the Petersen side."""
+    Its certificate is stored as a constant, so comparing a graph with
+    it runs no search on the Petersen side."""
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
-    g = from_edge_list(10, outer + inner + spokes)
-    return _store_canonical(g, _PETERSEN_LABELING, sorted(relabeled(g, _PETERSEN_LABELING).edges))
+    return _store_canonical(from_edge_list(10, outer + inner + spokes), _PETERSEN_CERTIFICATE)
 
 
 def relabeled(g: CubicGraph, mapping: Sequence[int]) -> CubicGraph:
@@ -181,16 +165,16 @@ def relabeled(g: CubicGraph, mapping: Sequence[int]) -> CubicGraph:
     return from_edge_list(g.n, [(mapping[u], mapping[v]) for u, v in g.edges])
 
 
-def canonical_form(g: CubicGraph) -> CanonicalForm:
-    """Canonical labeling and certificate (invariant under relabeling)."""
+def canonical_form(g: CubicGraph) -> str:
+    """The certificate: vertex count, then the lexicographically smallest
+    sorted edge list over all relabelings, as ``"n|u-v,u-v,..."``.
+    Equal exactly for isomorphic graphs."""
     return g._canonical
 
 
 def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
     """True iff an edge-multiplicity-preserving vertex bijection exists."""
-    if g.n != h.n:
-        return False
-    return g._canonical.certificate == h._canonical.certificate
+    return g.n == h.n and g._canonical == h._canonical
 
 
 def is_canonical_labeling(g: CubicGraph) -> bool:
@@ -205,19 +189,16 @@ def is_canonical_labeling(g: CubicGraph) -> bool:
     return all(blk == tuple(up) for (blk, _), up in zip(search, upward))
 
 
-def _store_canonical(
-    g: CubicGraph, labeling: tuple[int, ...], edges: Sequence[tuple[int, int]]
-) -> CubicGraph:
-    """g, with its canonical form stored in the slot that ``_canonical``
-    caches into: ``labeling``, which the caller knows to be canonical,
-    and ``edges``, the sorted edge list of g relabeled by it."""
-    g.__dict__["_canonical"] = CanonicalForm(labeling, _certificate(g.n, edges))
+def _store_canonical(g: CubicGraph, certificate: str) -> CubicGraph:
+    """g, with ``certificate``, which the caller knows to be g's, stored
+    in the slot that ``_canonical`` caches into."""
+    g.__dict__["_canonical"] = certificate
     return g
 
 
-def _certificate(n: int, edges: Iterable[tuple[int, int]]) -> bytes:
+def _certificate(n: int, edges: Iterable[tuple[int, int]]) -> str:
     """The vertex count, then the sorted edge list as ``u-v`` pairs."""
-    return (f"{n}|" + ",".join(f"{u}-{v}" for u, v in edges)).encode("ascii")
+    return f"{n}|" + ",".join(f"{u}-{v}" for u, v in edges)
 
 
 def _ranked(row: Sequence[int]) -> list[tuple[int, int]]:

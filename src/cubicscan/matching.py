@@ -53,7 +53,6 @@ from .graphs import CubicGraph, CubicGraphError
 __all__ = [
     "PerfectMatching",
     "FactorCycle",
-    "TwoFactor",
     "CycleSpectrum",
     "enumerate_perfect_matchings",
     "complementary_two_factor",
@@ -80,17 +79,6 @@ class FactorCycle:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class TwoFactor:
-    """Spanning disjoint cycles: the complement of a perfect matching."""
-
-    cycles: tuple[FactorCycle, ...]
-
-    @property
-    def edge_ids(self) -> frozenset[int]:
-        return frozenset(eid for cycle in self.cycles for eid in cycle.edge_ids)
 
 
 def _matching_search(g: CubicGraph) -> Callable[..., Iterator[tuple[int, ...]]]:
@@ -237,8 +225,9 @@ def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
     return matched
 
 
-def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> TwoFactor:
-    """Decompose the complement of a perfect matching into cycles.
+def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> tuple[FactorCycle, ...]:
+    """The 2-factor complementary to a perfect matching, as its spanning
+    disjoint cycles.
 
     Each cycle starts at its smallest vertex and walks toward the
     smaller (neighbor, edge id) entry first; cycles are ordered by
@@ -268,12 +257,12 @@ def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> TwoFac
             edge_ids.append(eid)
             current, via = nxt, eid
         cycles.append(FactorCycle(vertices=tuple(vertices), edge_ids=tuple(edge_ids)))
-    return TwoFactor(cycles=tuple(cycles))
+    return tuple(cycles)
 
 
-def cycle_spectrum(factor: TwoFactor) -> CycleSpectrum:
+def cycle_spectrum(factor: tuple[FactorCycle, ...]) -> CycleSpectrum:
     """Sorted multiset of cycle lengths; the sum is the vertex count."""
-    return tuple(sorted(len(cycle) for cycle in factor.cycles))
+    return tuple(sorted(len(cycle) for cycle in factor))
 
 
 def _two_factor_walks(g: CubicGraph) -> Iterator[tuple[tuple[int, ...], CycleSpectrum]]:

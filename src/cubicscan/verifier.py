@@ -198,7 +198,7 @@ def verify_claims(g: CubicGraph) -> dict:
     premise_witness = matching.five_cycle_premise_witness(g)
     return {
         "report": "verify",
-        "graph_certificate": canonical_form(g).certificate.decode("ascii"),
+        "graph_certificate": canonical_form(g),
         "premise_holds": premise_witness is None,
         "premise_witness": premise_witness,
         "claims": claims,

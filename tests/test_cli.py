@@ -13,8 +13,9 @@ import pytest
 
 import cubicscan.graphs
 from cubicscan.cli import build_parser, main
-from cubicscan.formats import emit_edgelist, emit_sparse6
-from cubicscan.graphs import from_edge_list, relabeled
+from cubicscan.enumeration import generate_cubic_graphs
+from cubicscan.formats import emit_edgelist, emit_sparse6, parse_edgelist, parse_sparse6
+from cubicscan.graphs import canonical_form, from_edge_list, relabeled
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -433,6 +434,42 @@ def test_known_canonical_forms_are_not_searched_again(capsys, monkeypatch, peter
     assert main(["scan", "--n-max", "10", "--output", "json"]) == 0
     assert [p["is_petersen"] for p in json.loads(capsys.readouterr().out)["positives"]] == [True]
     assert searches == []
+
+
+def test_reported_certificates_are_the_canonical_forms_of_the_parsed_graphs(
+    capsys, monkeypatch, petersen_graph, prism, bridged8
+):
+    # stored or searched, a certificate in a report is canonical_form of the
+    # graph its input parses to, so the same class prints the same text
+    import io
+    import random
+
+    rng = random.Random(5)
+
+    def shuffled(g):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return relabeled(g, perm)
+
+    for g in (petersen_graph, shuffled(petersen_graph), prism, bridged8):
+        text = emit_edgelist(g)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        _, report = _run_json(capsys, ["verify", "--format", "edgelist", "--output", "json"])
+        assert report["graph_certificate"] == canonical_form(parse_edgelist(text))
+    corpus = "".join(
+        emit_sparse6(shuffled(g)).decode("ascii") + "\n" for g in generate_cubic_graphs(10)
+    )
+    for argv, stdin in (
+        (["scan", "--n-max", "10", "--output", "json"], ""),
+        (["scan", "-i", "-", "--output", "json"], corpus),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        _, report = _run_json(capsys, argv)
+        assert [p["n"] for p in report["positives"]] == [10]
+        for positive in report["positives"]:
+            parsed = parse_sparse6(positive["sparse6"])
+            assert positive["certificate"] == canonical_form(parsed)
+            assert positive["certificate"] == canonical_form(petersen_graph)
 
 
 def test_size_byte_below_63_exits_two(capsys, monkeypatch):

@@ -177,9 +177,13 @@ def test_iter_graph_lines_skips_blanks(k4, prism):
 
 
 def test_corpus_auto_reads_no_line_as_an_edge_list(k4, petersen_graph):
-    # an edge list spans lines, so its header "4 6" is one bad graph6 line
-    with pytest.raises(CubicGraphError, match="size byte 52 is outside 63..126"):
+    # an edge list spans lines, and its header "4 6" holds whitespace, which
+    # no graph6 or sparse6 line does
+    message = "^a corpus takes one graph6 or sparse6 line per graph, got '4 6'$"
+    with pytest.raises(CubicGraphError, match=message):
         list(iter_graph_lines(emit_edgelist(k4).splitlines()))
+    with pytest.raises(CubicGraphError, match="^a corpus takes .*, got ':Cc C~'$"):
+        list(iter_graph_lines([b":Cc C~"]))
     lines = [emit_sparse6(petersen_graph), b">>graph6<<C~", b"C~"]
     assert [g.n for g in iter_graph_lines(lines)] == [10, 4, 4]
 

@@ -1,4 +1,4 @@
-"""Construction invariants, canonical labeling, and isomorphism."""
+"""Construction invariants, canonical forms, and isomorphism."""
 
 import random
 from itertools import combinations
@@ -26,6 +26,21 @@ from oracles import (
 )
 
 ALL_K4_PAIRS = list(combinations(range(4), 2))
+
+
+def search_labeling(g):
+    """The relabeling that reaches g's certificate: labeling[v] is v's place
+    in the last order the canonical search yields."""
+    *_, (_, order) = cubicscan.graphs._lexmin_blocks(g.n, g.neighbor_lists)
+    labeling = [0] * g.n
+    for new, old in enumerate(order):
+        labeling[old] = new
+    return labeling
+
+
+def certificate_text(n, edges):
+    """The certificate of a sorted edge list on n vertices."""
+    return f"{n}|{','.join(f'{u}-{v}' for u, v in edges)}"
 
 
 def test_triple_edge_is_a_valid_multigraph(triple_edge):
@@ -105,22 +120,31 @@ def test_petersen_stores_the_form_the_search_finds():
     assert canonical_form(petersen()) == canonical_form(from_edge_list(10, petersen().edges))
 
 
+def test_canonical_form_is_the_certificate_text(petersen_graph, triple_edge):
+    # the form is the text the reports print, nothing to encode or decode
+    assert canonical_form(petersen_graph) == (
+        "10|0-1,0-2,0-3,1-4,1-5,2-6,2-7,3-8,3-9,4-6,4-8,5-7,5-9,6-9,7-8"
+    )
+    assert type(canonical_form(triple_edge)) is str
+    assert canonical_form(triple_edge) == "2|0-1,0-1,0-1"
+
+
 def test_certificate_invariant_under_100_random_relabelings(petersen_graph, prism, bridged8):
     rng = random.Random(20240517)
     for g in (petersen_graph, prism, bridged8):
-        base = canonical_form(g).certificate
+        base = canonical_form(g)
         for _ in range(100):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            assert canonical_form(relabeled(g, perm)).certificate == base
+            assert canonical_form(relabeled(g, perm)) == base
 
 
 def test_certificates_include_vertex_count(triple_edge, k4):
-    assert canonical_form(triple_edge).certificate != canonical_form(k4).certificate
+    assert canonical_form(triple_edge) != canonical_form(k4)
 
 
 def test_k33_and_prism_have_distinct_certificates(k33, prism):
-    assert canonical_form(k33).certificate != canonical_form(prism).certificate
+    assert canonical_form(k33) != canonical_form(prism)
     assert not brute_isomorphic(k33, prism)
 
 
@@ -181,10 +205,11 @@ def test_canonical_representative_is_its_own_canonical_form():
 
 
 def test_canonical_labeling_produces_the_certificate_edge_list(petersen_graph):
-    form = canonical_form(petersen_graph)
-    relabel = relabeled(petersen_graph, form.labeling)
+    g = from_edge_list(10, petersen_graph.edges)  # no stored form: the search runs
+    relabel = relabeled(g, search_labeling(g))
     assert is_canonical_labeling(relabel)
-    assert canonical_form(relabel).certificate == form.certificate
+    assert canonical_form(g) == certificate_text(10, sorted(relabel.edges))
+    assert canonical_form(relabel) == canonical_form(g)
 
 
 def test_canonical_form_is_the_global_permutation_minimum():
@@ -194,16 +219,10 @@ def test_canonical_form_is_the_global_permutation_minimum():
     for n in (4, 6):
         for edges in isomorphism_classes(n, True):
             g = from_edge_list(n, edges)
-            form = canonical_form(g)
-            canonical_edges = tuple(
-                sorted(
-                    (min(form.labeling[u], form.labeling[v]),
-                     max(form.labeling[u], form.labeling[v]))
-                    for u, v in g.edges
-                )
-            )
+            canonical_edges = sorted(relabeled(g, search_labeling(g)).edges)
+            assert canonical_form(g) == certificate_text(n, canonical_edges)
             global_min = min(
-                tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
+                sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges)
                 for p in all_perms(range(n))
             )
             assert canonical_edges == global_min
@@ -220,15 +239,9 @@ def test_is_canonical_labeling_agrees_with_canonical_form():
                 perm = list(range(n))
                 rng.shuffle(perm)
                 h = relabeled(g, perm)
-                form = canonical_form(h)
-                canonical_edges = tuple(
-                    sorted(
-                        (min(form.labeling[u], form.labeling[v]),
-                         max(form.labeling[u], form.labeling[v]))
-                        for u, v in h.edges
-                    )
-                )
-                expected = canonical_edges == tuple(sorted(h.edges))
+                canonical_edges = sorted(relabeled(h, search_labeling(h)).edges)
+                assert canonical_form(h) == certificate_text(n, canonical_edges)
+                expected = canonical_edges == sorted(h.edges)
                 assert is_canonical_labeling(h) == dfs_is_canonical_labeling(h) == expected
 
 
@@ -254,8 +267,9 @@ def test_disconnected_graphs_canonicalize(two_k4s_disconnected_edges, k4):
     perm = list(range(20))
     rng.shuffle(perm)
     assert is_isomorphic(double_petersen, relabeled(double_petersen, perm))
-    form = canonical_form(double_petersen)
-    assert is_canonical_labeling(relabeled(double_petersen, form.labeling))
+    relabel = relabeled(double_petersen, search_labeling(double_petersen))
+    assert is_canonical_labeling(relabel)
+    assert canonical_form(double_petersen) == certificate_text(20, sorted(relabel.edges))
 
 
 def test_is_canonical_labeling_equals_the_dfs_oracle_on_every_labeled_graph():
@@ -289,9 +303,8 @@ def test_canonical_form_equals_the_per_permutation_search(prisms, prism50):
         h = relabeled(g, perm)
         blocks, _ = lexmin_blocks_per_permutation(h.n, h.neighbor_lists)
         edges = [(t, w) for t, blk in enumerate(blocks) for w in blk]
-        form = canonical_form(h)
-        assert form.certificate == f"{h.n}|{','.join(f'{u}-{v}' for u, v in edges)}".encode()
-        assert sorted(relabeled(h, form.labeling).edges) == edges
+        assert canonical_form(h) == certificate_text(h.n, edges)
+        assert sorted(relabeled(h, search_labeling(h)).edges) == edges
 
 
 def test_only_the_first_tie_opens_the_next_component(monkeypatch, k4):

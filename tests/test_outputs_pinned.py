@@ -121,6 +121,7 @@ def _rejected_runs(request) -> list[tuple[list[str], str]]:
         (["analyze", "-i", "non-ascii.s6"], ""),
         (["analyze", "-i", "-"], "\u00e9\n"),
         (["scan", "-i", "-"], "\u00e9\n"),
+        (["scan", "-i", "-"], "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"),
     ]
 
 
