@@ -3,7 +3,12 @@
 Subcommands: ``analyze`` one graph, ``verify`` the claim chain on one
 graph, ``scan`` the exhaustive theorem check, ``generate`` a corpus.
 The argument parser is built once per process, on the first ``main``
-call, and serves every later call.
+call, and serves every later call. A JSON report is written by
+``_json_text``, which returns the text of
+``json.dumps(report, sort_keys=True, indent=2)`` in one recursive pass
+over the JSON types that reports are built from; the standard
+library's encoder, which runs in pure Python once ``indent`` is set,
+stays for the one-line witnesses of the text output.
 
 Exit codes are a stable contract for CI use: 0 = success / expected
 result; 1 = only a scan's verdict, that its positives falsify the
@@ -21,6 +26,7 @@ import json
 import os
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import enumeration, matching, verifier
@@ -49,9 +55,49 @@ def _load_single_graph(args: argparse.Namespace) -> CubicGraph:
     return _PARSERS[args.format](_read_input(args.input))
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value built
+    from dicts with str keys, lists, str, int, float, bool and None;
+    any other type, a tuple or a non-str key included, raises
+    ``TypeError``. ``indent`` is the line break and indentation that
+    precede the value's own lines."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, float):
+        # json spells the values that are not finite as JavaScript does
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict) -> None:
-    # one write: json.dump with indent writes each token on its own
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

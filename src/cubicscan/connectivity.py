@@ -133,14 +133,17 @@ def girth(g: CubicGraph) -> int:
         return 2
     best = g.n + 1
     for start in range(g.n):
+        if best == 3:  # a simple graph has no shorter cycle
+            break
         dist = [-1] * g.n
         via = [-1] * g.n
         dist[start] = 0
         queue = deque([start])
         while queue:
             u = queue.popleft()
+            # the queue is in distance order: no later vertex closes a shorter cycle
             if 2 * dist[u] >= best:
-                continue
+                break
             for w, eid in g.adjacency[u]:
                 if eid == via[u]:
                     continue

@@ -192,7 +192,7 @@ def _scan_one_n(graphs: Iterable[CubicGraph]) -> dict:
                 "n": g.n,
                 "certificate": canonical_form(g),
                 "sparse6": emit_sparse6(g).decode("ascii"),
-                "is_petersen": is_isomorphic(g, petersen()),
+                "is_petersen": g.n == 10 and is_isomorphic(g, petersen()),
             }
         )
     positives.sort(key=lambda p: p["certificate"])

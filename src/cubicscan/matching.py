@@ -34,6 +34,9 @@ endpoints and, for each vertex, the sum of its three edge ids;
 entering v by edge ``e``, the walk leaves by ``total[v] - e - matched[v]``,
 the one edge that is neither, and reaches ``v ^ ends_xor[e']``. Edge
 ids keep parallel edges apart, so a doubled edge still closes a 2-cycle.
+The walk only reads the leaf: a bitmask of the vertices that no cycle
+has passed yet gives each cycle's start, its lowest set bit, and each
+cycle's own bitmask gives its length, ``int.bit_count()``.
 ``enumerate_perfect_matchings``, ``complementary_two_factor`` and
 ``cycle_spectrum`` remain for callers that need the matchings or the
 cycles themselves, and the test suite checks that both routes give the
@@ -269,28 +272,32 @@ def _two_factor_walks(g: CubicGraph) -> Iterator[tuple[tuple[int, ...], CycleSpe
     """Each leaf of the perfect matching search, in enumeration order,
     with the sorted cycle lengths of its complementary 2-factor.
 
-    The walk reads only the search's leaves, so it checks nothing.
+    The walk reads only the search's leaves, so it checks nothing, and
+    it writes nothing into them.
     """
+    full = (1 << g.n) - 1
+    bits = [1 << v for v in range(g.n)]
     ends_xor = [u ^ v for u, v in g.edges]
     ids = [(a, b, c) for (_, a), (_, b), (_, c) in g.adjacency]
     total = [a + b + c for a, b, c in ids]
     for leaf in _matching_search(g)():
-        # a vertex's entry becomes -1 once the walk has passed it
-        matched = list(leaf)
+        # ``left`` holds the vertices no cycle has passed yet; each cycle
+        # starts at its lowest and collects its own vertices in ``cycle``
         lengths = []
-        for start, (a, b, _) in enumerate(ids):
-            if matched[start] < 0:
-                continue
-            eid = b if matched[start] == a else a
-            matched[start] = -1
+        left = full
+        while left:
+            start_bit = left & -left
+            start = start_bit.bit_length() - 1
+            a, b, _ = ids[start]
+            eid = b if leaf[start] == a else a
+            cycle = start_bit
             current = start ^ ends_xor[eid]
-            length = 1
             while current != start:
-                eid = total[current] - eid - matched[current]
-                matched[current] = -1
+                cycle |= bits[current]
+                eid = total[current] - eid - leaf[current]
                 current ^= ends_xor[eid]
-                length += 1
-            lengths.append(length)
+            left ^= cycle
+            lengths.append(cycle.bit_count())
         yield leaf, tuple(sorted(lengths))
 
 

@@ -189,7 +189,7 @@ def verify_claims(g: CubicGraph) -> dict:
         _neighborhood_structure(g) if girth_value == 5 else {"girth": girth_value}
     )
 
-    petersen_like = is_isomorphic(g, petersen())
+    petersen_like = g.n == 10 and is_isomorphic(g, petersen())
     claims["PROP4"] = {
         "holds": not (g.n == 10 and girth_value == 5) or petersen_like,
         "witness": None,

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import cubicscan.graphs
-from cubicscan.cli import build_parser, main
+from cubicscan.cli import _json_text, build_parser, main
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.formats import emit_edgelist, emit_sparse6, parse_edgelist, parse_sparse6
 from cubicscan.graphs import canonical_form, from_edge_list, relabeled
@@ -573,3 +573,32 @@ def test_scan_exit_code_flags_unexpected_positives():
     for from_corpus, n_range, positives, expected in table:
         code = _scan_exit_code(report(positives, n_range), from_corpus=from_corpus)
         assert code == expected, (from_corpus, n_range, positives)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}]},
+        [[[]], [{}]],
+        'quote " backslash \\ slash /',
+        "control \x00\x01\x1f\t\n\r\b\f\x7f",
+        "non-ASCII \u00e9 \u6f22 \U0001f600",
+        {"\u00e9": 1, "e": 2, "E": 3, "": 4, "\n": 5},
+        [0, -1, -(10**30), 2**64, 10**100],
+        [True, False, None],
+        {"true": True, "false": False, "null": None},
+        [0.1, 1e-07, 1e22, -0.0, 1.5e300, round(2 / 3, 6), round(1e-07, 6)],
+        [float("nan"), float("inf"), float("-inf")],
+        {"z": [1, {"y": [2.5, "x", None]}], "a": {"b": {"c": []}}},
+    ],
+)
+def test_json_writer_equals_the_standard_library(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [(), (1, 2), [1, (2,)], {"a": (1,)}, {1: "a"}, {1, 2}, b"x"])
+def test_json_writer_rejects_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

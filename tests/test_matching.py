@@ -2,7 +2,7 @@
 
 import sys
 import time
-from itertools import combinations, zip_longest
+from itertools import combinations, islice, zip_longest
 
 import pytest
 
@@ -323,6 +323,14 @@ def test_two_factor_spectra_equal_the_cycle_walk_in_order(
         (2,),
         (2,),
     )
+
+
+def test_two_factor_spectra_on_a_graph_wider_than_a_machine_word(prism50):
+    # 100 vertices: the walk's bitmasks of vertices span two 64-bit words
+    head = list(islice(two_factor_spectra(prism50), 2000))
+    matchings = islice(map(frozenset, _matching_search(prism50)()), 2000)
+    assert head == [cycle_spectrum(complementary_two_factor(prism50, m)) for m in matchings]
+    assert len(set(head)) > 1
 
 
 def test_premise_answers_equal_the_two_factor_oracles(

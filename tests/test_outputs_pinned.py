@@ -167,3 +167,22 @@ def test_command_family_output_is_pinned(family, request, monkeypatch, capsys):
     assert digest.hexdigest() == PINNED[family], (
         f"the output of family {family!r} changed; its digest is now {digest.hexdigest()}"
     )
+
+
+def test_json_reports_are_the_standard_library_dump(request, monkeypatch, capsys):
+    # every pinned JSON report, and a scan -i one, as json.dumps writes its parse
+    runs = [
+        run
+        for family in sorted(PINNED)
+        for run in _family_runs(family, request)
+        if "json" in run[0]
+    ]
+    runs.append((["scan", "-i", "-", "--output", "json"], "".join(_generated(10, multi=True))))
+    kinds = set()
+    for argv, stdin in runs:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
+        kinds.add((argv[0], "-i" in argv))
+    assert kinds == {("analyze", False), ("verify", False), ("scan", False), ("scan", True)}

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import cubicscan.connectivity
+import cubicscan.verifier
 from cubicscan import CubicGraphError
 from cubicscan.cli import main
 from cubicscan.connectivity import girth, is_connected
@@ -305,3 +306,18 @@ def test_verify_claims_builds_the_cut_labels_once_per_graph(monkeypatch, bridged
     assert reports[0]["claims"]["C6"]["witness"] is not None
     assert all(report["claims"]["C7"]["witness"] is not None for report in reports[:2])
     assert [id(g) for g in built] == [id(g) for g in graphs]
+
+
+def test_verify_builds_petersen_only_for_ten_vertices(monkeypatch, petersen_graph, prisms):
+    real = cubicscan.verifier.petersen
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cubicscan.verifier, "petersen", counted)
+    assert not verify_claims(prisms[8])["is_petersen"]
+    assert prisms[8].n == 16 and calls == []
+    assert verify_claims(petersen_graph)["is_petersen"]
+    assert calls == [1]
