@@ -1,14 +1,16 @@
 """Cuts, connectivity, girth, and small-cycle pattern detectors.
 
 All functions are pure and operate on immutable graphs. Each detector
-returns a witness fixed by the labeling alone, so that reports and
-golden tests are stable. Connectivity, bridges, edge connectivity and
-edge cuts all read one labeling: each edge's set of fundamental cycles
-as a bitmask, under which an edge set is a cut iff its labels XOR to 0.
-The labeling is built once per graph and kept on it, as ``adjacency``
-is, so a graph asked several cut questions builds it once. A cut is
-the ascending tuple of its edge ids; ``cut_side`` reads the side that
-holds vertex 0 down the spanning tree the labeling is built on.
+returns the witness that ``verify`` prints for its claim (C1 to C4, and
+C5 at girth 4), or None when the claim holds; the witness is fixed by
+the labeling alone, so that reports and golden tests are stable.
+Connectivity, bridges, edge connectivity and edge cuts all read one
+labeling: each edge's set of fundamental cycles as a bitmask, under
+which an edge set is a cut iff its labels XOR to 0. The labeling is
+built once per graph and kept on it, as ``adjacency`` is, so a graph
+asked several cut questions builds it once. A cut is the ascending
+tuple of its edge ids; ``cut_side`` reads the side that holds vertex 0
+down the spanning tree the labeling is built on.
 """
 
 from __future__ import annotations
@@ -156,17 +158,18 @@ def girth(g: CubicGraph) -> int:
     return best
 
 
-def find_two_cycle(g: CubicGraph) -> tuple[int, int] | None:
-    """The first pair of parallel edge ids, or None if the graph is simple.
+def find_two_cycle(g: CubicGraph) -> dict | None:
+    """C1's witness, ``{"parallel_edge_ids": [a, b]}`` for the first pair
+    of parallel edge ids, or None if the graph is simple.
 
     It is the first repeated endpoint pair in edge-id order, not the
     smallest pair: on edges (0,1), (2,3), (2,3), (0,1), ... it is
-    (1, 2), not (0, 3).
+    [1, 2], not [0, 3].
     """
     seen: dict[tuple[int, int], int] = {}
     for eid, pair in enumerate(g.edges):
         if pair in seen:
-            return (seen[pair], eid)
+            return {"parallel_edge_ids": [seen[pair], eid]}
         seen[pair] = eid
     return None
 
@@ -175,39 +178,39 @@ def _simple_neighbor_sets(g: CubicGraph) -> list[set[int]]:
     return [set(nbrs) for nbrs in g.neighbor_lists]
 
 
-def find_adjacent_triangles(g: CubicGraph) -> tuple[int, int, tuple[int, int]] | None:
-    """Two triangles sharing an edge, as (u, u', shared edge (v, w))."""
+def find_adjacent_triangles(g: CubicGraph) -> dict | None:
+    """C2's witness, two triangles sharing an edge, as
+    ``{"apexes": [u, u'], "shared_edge": [v, w]}``, or None."""
     nbr = _simple_neighbor_sets(g)
     for v, w in sorted(set(g.edges)):
         commons = sorted(nbr[v] & nbr[w])
-        if len(commons) >= 2:
-            return (commons[0], commons[1], (v, w))
+        if len(commons) == 2:  # v's two other neighbours are the only candidates
+            return {"apexes": commons, "shared_edge": [v, w]}
     return None
 
 
-def find_square_triangle_pair(
-    g: CubicGraph,
-) -> tuple[tuple[int, int, int, int], tuple[int, int, int], tuple[int, int]] | None:
-    """A 4-cycle and a triangle on five distinct vertices sharing one edge.
+def find_square_triangle_pair(g: CubicGraph) -> dict | None:
+    """C3's witness, a 4-cycle and a triangle on five distinct vertices
+    sharing one edge, or None.
 
-    Returns (square as cycle u-v-x-w, triangle as cycle v-y-x, shared
-    edge (v, x)), lexicographically smallest in (v, x, y, u, w).
+    Returns ``{"square": [u, v, x, w], "triangle": [v, y, x],
+    "shared_edge": [v, x]}``, each cycle in its walking order,
+    lexicographically smallest in (v, x, y, u, w).
     """
     nbr = _simple_neighbor_sets(g)
     for v, x in sorted(set(g.edges)):
-        apexes = sorted(nbr[v] & nbr[x])
-        if not apexes:
-            continue
-        for y in apexes:
+        for y in sorted(nbr[v] & nbr[x]):
             for u in sorted(nbr[v] - {x, y}):
                 for w in sorted(nbr[x] - {v, y, u}):
                     if u in nbr[w]:
-                        return ((u, v, x, w), (v, y, x), (v, x))
+                        return dict(square=[u, v, x, w], triangle=[v, y, x], shared_edge=[v, x])
     return None
 
 
-def find_cycle_of_length(g: CubicGraph, k: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest cycle on k distinct vertices, k in {3, 4}.
+def find_cycle_of_length(g: CubicGraph, k: int) -> dict | None:
+    """``{"cycle": [...]}`` for the lexicographically smallest cycle on k
+    distinct vertices, k in {3, 4}, or None: C4's witness at k = 3, and
+    C5's at girth 4 for k = 4.
 
     Paths grow from each a through higher vertices in ascending order, so
     the first that closes back to a with path[1] < path[-1] (one
@@ -217,10 +220,10 @@ def find_cycle_of_length(g: CubicGraph, k: int) -> tuple[int, ...] | None:
         raise ValueError(f"k must be 3 or 4, got {k}")
     nbr = [sorted(row) for row in _simple_neighbor_sets(g)]
 
-    def cycles(path: list[int]) -> Iterator[tuple[int, ...]]:
+    def cycles(path: list[int]) -> Iterator[dict]:
         if len(path) == k:
             if path[1] < path[-1] and path[0] in nbr[path[-1]]:
-                yield tuple(path)
+                yield {"cycle": path}
             return
         for w in nbr[path[-1]]:
             if w > path[0] and w not in path:

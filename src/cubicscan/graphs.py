@@ -60,9 +60,13 @@ __all__ = [
 
 
 class CubicGraphError(Exception):
-    """Every failure this package detects: input outside the domain of a
-    command or function, such as a non-cubic or disconnected graph, a
-    malformed encoding or a vertex count the generator does not serve."""
+    """Every failure this package detects in a graph or its input: a
+    non-cubic or disconnected graph, a malformed encoding or a vertex
+    count the generator does not serve. A bad argument to a library
+    function raises ``ValueError`` instead (a non-permutation for
+    ``relabeled``, a non-endpoint for ``CubicGraph.other_endpoint``, k
+    out of range for ``edge_cuts`` or ``find_cycle_of_length``, a
+    non-cut for ``cut_side``); no command passes such an argument."""
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ statement about the spectrum alone. One walk, ``_two_factor_walks``,
 therefore serves ``two_factor_spectra`` and the premise functions: it
 reads each leaf of the search, each vertex's matched edge id, and
 yields the leaf with its sorted cycle lengths, building neither a
-matching's edge-id set nor cycle objects, and keeping no leaf it has
+matching's edge-id set nor its cycles, and keeping no leaf it has
 passed. Per graph it stores, for each edge id, the XOR of its two
 endpoints and, for each vertex, the sum of its three edge ids;
 entering v by edge ``e``, the walk leaves by ``total[v] - e - matched[v]``,
@@ -48,7 +48,6 @@ results are value snapshots, safe to share across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .graphs import CubicGraph, CubicGraphError
@@ -66,22 +65,11 @@ __all__ = [
 ]
 
 PerfectMatching = frozenset[int]
+# one cycle of a 2-factor: its vertices in cyclic order, and its edge ids,
+# edge_ids[i] joining vertices[i] to vertices[(i + 1) % k]; a parallel
+# edge pair is a cycle of length 2
+FactorCycle = tuple[tuple[int, ...], tuple[int, ...]]
 CycleSpectrum = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FactorCycle:
-    """One cycle of a 2-factor: vertices in cyclic order plus the edge ids.
-
-    ``edge_ids[i]`` connects ``vertices[i]`` to ``vertices[(i+1) % k]``.
-    A parallel edge pair forms a valid cycle of length 2.
-    """
-
-    vertices: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 def _matching_search(g: CubicGraph) -> Callable[..., Iterator[tuple[int, ...]]]:
@@ -230,7 +218,7 @@ def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
 
 def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> tuple[FactorCycle, ...]:
     """The 2-factor complementary to a perfect matching, as its spanning
-    disjoint cycles.
+    disjoint cycles, each a ``(vertices, edge_ids)`` pair.
 
     Each cycle starts at its smallest vertex and walks toward the
     smaller (neighbor, edge id) entry first; cycles are ordered by
@@ -259,13 +247,13 @@ def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> tuple[
             nxt, eid = second if first[1] == via else first
             edge_ids.append(eid)
             current, via = nxt, eid
-        cycles.append(FactorCycle(vertices=tuple(vertices), edge_ids=tuple(edge_ids)))
+        cycles.append((tuple(vertices), tuple(edge_ids)))
     return tuple(cycles)
 
 
 def cycle_spectrum(factor: tuple[FactorCycle, ...]) -> CycleSpectrum:
     """Sorted multiset of cycle lengths; the sum is the vertex count."""
-    return tuple(sorted(len(cycle) for cycle in factor))
+    return tuple(sorted(len(vertices) for vertices, _ in factor))
 
 
 def _two_factor_walks(g: CubicGraph) -> Iterator[tuple[tuple[int, ...], CycleSpectrum]]:

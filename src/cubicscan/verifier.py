@@ -14,7 +14,10 @@ The report is the dict that ``cubicscan verify --output json`` prints,
 built from JSON types only; ``docs/report-schema.json`` defines its
 shape. It holds ``report`` ("verify"), ``graph_certificate``,
 ``premise_holds``, ``premise_witness``, ``is_petersen`` and ``claims``,
-which maps each claim id to ``{"holds": bool, "witness": ...}``.
+which maps each claim id to ``{"holds": bool, "witness": ...}``. Each
+claim check (the :mod:`cubicscan.connectivity` detectors for C1 to C4,
+and C5 at girth 4; ``_check_c8``; ``_neighborhood_structure``) returns
+the witness the report prints, or None, and ``_claim`` wraps it.
 
 No claim enumerates perfect matchings. C8 sets up the matching search
 once per graph and asks it a first-leaf query for each 3-edge path that
@@ -73,9 +76,10 @@ def _three_edge_paths(g: CubicGraph) -> Iterator[tuple[int, int, int, int]]:
                     yield (u, v, w, x)
 
 
-def _check_c8(g: CubicGraph) -> dict:
-    """The first 3-edge path u-v-w-x with no perfect matching through
-    uv and wx, by first-leaf queries on one matching search.
+def _check_c8(g: CubicGraph) -> dict | None:
+    """C8's witness, ``{"path": [u, v, w, x]}`` for the first 3-edge path
+    u-v-w-x with no perfect matching through uv and wx, or None; found
+    by first-leaf queries on one matching search.
 
     Parallel edges swap in and out of a perfect matching, so the first
     id of a doubled uv or wx stands for both. A found matching M answers
@@ -92,9 +96,9 @@ def _check_c8(g: CubicGraph) -> dict:
             continue
         found = next(search(e, f), None)
         if found is None:
-            return _claim({"path": [u, v, w, x]})
+            return {"path": [u, v, w, x]}
         extends.update((found[a], found[b]) for a, b in g.edges)
-    return _claim(None)
+    return None
 
 
 def _neighborhood_structure(g: CubicGraph) -> dict | None:
@@ -129,40 +133,19 @@ def verify_claims(g: CubicGraph) -> dict:
     if not connectivity.is_connected(g):
         raise CubicGraphError("claim verification requires a connected graph")
 
-    two_cycle = connectivity.find_two_cycle(g)
     claims = {
-        "C1": _claim(None if two_cycle is None else {"parallel_edge_ids": list(two_cycle)})
+        "C1": _claim(connectivity.find_two_cycle(g)),
+        "C2": _claim(connectivity.find_adjacent_triangles(g)),
+        "C3": _claim(connectivity.find_square_triangle_pair(g)),
+        "C4": _claim(connectivity.find_cycle_of_length(g, 3)),
     }
 
-    adjacent = connectivity.find_adjacent_triangles(g)
-    claims["C2"] = _claim(
-        None
-        if adjacent is None
-        else {"apexes": [adjacent[0], adjacent[1]], "shared_edge": list(adjacent[2])}
-    )
-
-    square_triangle = connectivity.find_square_triangle_pair(g)
-    claims["C3"] = _claim(
-        None
-        if square_triangle is None
-        else {
-            "square": list(square_triangle[0]),
-            "triangle": list(square_triangle[1]),
-            "shared_edge": list(square_triangle[2]),
-        }
-    )
-
-    triangle = connectivity.find_cycle_of_length(g, 3)
-    claims["C4"] = _claim(None if triangle is None else {"cycle": list(triangle)})
-
     girth_value = connectivity.girth(g)
-    if girth_value == 5:
-        claims["C5"] = _claim(None)
-    else:  # a 2-cycle is C1's witness and a triangle C4's; girth 6+ has none
-        short = {2: claims["C1"]["witness"], 3: claims["C4"]["witness"]}.get(girth_value)
-        if girth_value == 4:
-            short = {"cycle": list(connectivity.find_cycle_of_length(g, 4))}
-        claims["C5"] = _claim({"girth": girth_value, "witness": short})
+    # a 2-cycle is C1's witness and a triangle C4's; girth 6+ has none
+    short = {2: claims["C1"]["witness"], 3: claims["C4"]["witness"]}.get(girth_value)
+    if girth_value == 4:
+        short = connectivity.find_cycle_of_length(g, 4)
+    claims["C5"] = _claim(None if girth_value == 5 else {"girth": girth_value, "witness": short})
 
     lam = connectivity.edge_connectivity(g)
     claims["C6"] = _claim(
@@ -183,7 +166,7 @@ def verify_claims(g: CubicGraph) -> dict:
         else {"cut_edges": list(nonstar), "side": list(connectivity.cut_side(g, nonstar))}
     )
 
-    claims["C8"] = _check_c8(g)
+    claims["C8"] = _claim(_check_c8(g))
 
     claims["FINAL"] = _claim(
         _neighborhood_structure(g) if girth_value == 5 else {"girth": girth_value}

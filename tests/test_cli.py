@@ -15,7 +15,7 @@ import cubicscan.graphs
 from cubicscan.cli import _json_text, build_parser, main
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.formats import emit_edgelist, emit_sparse6, parse_edgelist, parse_sparse6
-from cubicscan.graphs import canonical_form, from_edge_list, relabeled
+from cubicscan.graphs import canonical_form, from_edge_list, is_isomorphic, relabeled
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -470,6 +470,50 @@ def test_reported_certificates_are_the_canonical_forms_of_the_parsed_graphs(
             parsed = parse_sparse6(positive["sparse6"])
             assert positive["certificate"] == canonical_form(parsed)
             assert positive["certificate"] == canonical_form(petersen_graph)
+
+
+def test_graph6_input_reads_as_its_sparse6_line(capsys, monkeypatch, petersen_graph):
+    # graph6 lines written by networkx, not by this package, for the 19
+    # simple classes at n = 10: every command reads them as it reads sparse6
+    import io
+
+    import networkx as nx
+
+    elapsed = re.compile(r'("elapsed_seconds": )[-+0-9.eE]+')
+
+    def graph6(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return nx.to_graph6_bytes(h, nodes=range(g.n), header=False).decode("ascii")
+
+    def run(argv, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        return code, elapsed.sub(r"\1...", capsys.readouterr().out)
+
+    classes = list(generate_cubic_graphs(10))
+    assert len(classes) == 19
+    lines = {
+        "graph6": [graph6(g) for g in classes],
+        "sparse6": [emit_sparse6(g).decode("ascii") + "\n" for g in classes],
+    }
+    assert not any(line.startswith(":") for line in lines["graph6"])
+    scan = ["scan", "-i", "-", "--output", "json"]
+    expected = run(scan, "".join(lines["sparse6"]))
+    assert expected[0] == 0 and '"is_petersen": true' in expected[1]
+    for fmt in ("auto", "graph6"):
+        assert run([*scan, "--format", fmt], "".join(lines["graph6"])) == expected, fmt
+
+    (index,) = [i for i, g in enumerate(classes) if is_isomorphic(g, petersen_graph)]
+    for command in ("verify", "analyze"):
+        for output in ("text", "json"):
+            argv = [command, "-i", "-", "--output", output]
+            expected = run(argv, lines["sparse6"][index])
+            assert expected[0] == 0
+            for fmt in ("auto", "graph6"):
+                got = run([*argv, "--format", fmt], lines["graph6"][index])
+                assert got == expected, (command, output, fmt)
 
 
 def test_size_byte_below_63_exits_two(capsys, monkeypatch):

@@ -108,19 +108,16 @@ def test_girth_consistent_with_detectors(small_graphs, random_multigraphs, doubl
 
 
 def test_find_two_cycle(triple_edge, petersen_graph, k4):
-    assert find_two_cycle(triple_edge) == (0, 1)
+    assert find_two_cycle(triple_edge) == {"parallel_edge_ids": [0, 1]}
     assert find_two_cycle(petersen_graph) is None
     assert find_two_cycle(k4) is None
     # the first repeated pair in edge-id order, not the smallest pair
     g = CubicGraph(n=4, edges=((0, 1), (2, 3), (2, 3), (0, 1), (0, 2), (1, 3)))
-    assert find_two_cycle(g) == (1, 2)
+    assert find_two_cycle(g) == {"parallel_edge_ids": [1, 2]}
 
 
 def test_find_adjacent_triangles(k4, petersen_graph, prism):
-    witness = find_adjacent_triangles(k4)
-    assert witness is not None
-    u, u_prime, (v, w) = witness
-    assert witness == (2, 3, (0, 1))
+    assert find_adjacent_triangles(k4) == {"apexes": [2, 3], "shared_edge": [0, 1]}
     assert find_adjacent_triangles(petersen_graph) is None
     assert find_adjacent_triangles(prism) is None
 
@@ -144,9 +141,18 @@ def test_square_triangle_pair_detector_fires_somewhere_at_n8():
         if find_square_triangle_pair(g) is not None
     ]
     assert hits, "some 8-vertex cubic graph contains the square-triangle pattern"
-    square, triangle, shared = find_square_triangle_pair(hits[0])
-    assert len(set(square) | set(triangle)) == 5
-    assert set(shared) == set(square) & set(triangle)
+    for g in hits:
+        witness = find_square_triangle_pair(g)
+        assert set(witness) == {"square", "triangle", "shared_edge"}
+        square, triangle, shared = witness["square"], witness["triangle"], witness["shared_edge"]
+        assert len(set(square) | set(triangle)) == 5
+        assert set(shared) == set(square) & set(triangle)
+        # each cycle is listed in walking order, and the square walks
+        # across the shared edge: u-v-x-w with the triangle v-y-x
+        for cycle in (square, triangle):
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert b in g.neighbor_lists[a], (cycle, a, b)
+        assert square[1:3] == shared == triangle[::2]
 
 
 def test_square_triangle_pair_absent(petersen_graph, k33):
@@ -155,8 +161,8 @@ def test_square_triangle_pair_absent(petersen_graph, k33):
 
 
 def test_find_cycle_of_length_examples(k4, k33, petersen_graph):
-    assert find_cycle_of_length(k4, 3) == (0, 1, 2)
-    assert find_cycle_of_length(k33, 4) == (0, 3, 1, 4)
+    assert find_cycle_of_length(k4, 3) == {"cycle": [0, 1, 2]}
+    assert find_cycle_of_length(k33, 4) == {"cycle": [0, 3, 1, 4]}
     assert find_cycle_of_length(petersen_graph, 4) is None
     with pytest.raises(ValueError):
         find_cycle_of_length(k4, 5)
@@ -167,7 +173,8 @@ def test_find_cycle_of_length_equals_the_loop_nests(
 ):
     for g in (*small_graphs, *random_multigraphs, *random_simple_graphs, *prisms.values()):
         for k in (3, 4):
-            assert find_cycle_of_length(g, k) == cycle_of_length_by_loops(g, k), k
+            c = cycle_of_length_by_loops(g, k)
+            assert find_cycle_of_length(g, k) == (None if c is None else {"cycle": list(c)}), k
 
 
 def test_3_edge_cuts_match_brute_force(petersen_graph, k4, prism, bridged8):

@@ -231,7 +231,7 @@ def test_two_factor_partitions_edges():
         for g in generate_cubic_graphs(n, allow_multi=True):
             for m in enumerate_perfect_matchings(g):
                 factor = complementary_two_factor(g, m)
-                factor_ids = frozenset(eid for cycle in factor for eid in cycle.edge_ids)
+                factor_ids = frozenset(eid for _, edge_ids in factor for eid in edge_ids)
                 assert factor_ids | m == frozenset(range(len(g.edges)))
                 assert not factor_ids & m
                 spectrum = cycle_spectrum(factor)
@@ -242,26 +242,25 @@ def test_two_factor_partitions_edges():
 def test_two_factor_cycles_are_walkable(petersen_graph):
     m = enumerate_perfect_matchings(petersen_graph)[0]
     factor = complementary_two_factor(petersen_graph, m)
-    for cycle in factor:
-        k = len(cycle.vertices)
-        for i, eid in enumerate(cycle.edge_ids):
-            a, b = cycle.vertices[i], cycle.vertices[(i + 1) % k]
+    for vertices, edge_ids in factor:
+        k = len(vertices)
+        for i, eid in enumerate(edge_ids):
+            a, b = vertices[i], vertices[(i + 1) % k]
             assert set(petersen_graph.edges[eid]) == {a, b}
 
 
 def test_complementary_two_factor_walk_is_pinned(prism, bridged8, triple_edge):
     # each cycle starts at its smallest vertex and leaves it by the
-    # smaller (neighbor, edge id) entry; parallel edges pin the direction
-    def walk(g, m):
-        return [(c.vertices, c.edge_ids) for c in complementary_two_factor(g, m)]
-
-    assert walk(prism, frozenset({0, 3, 8})) == [((0, 2, 1, 4, 5, 3), (2, 1, 7, 4, 5, 6))]
-    assert walk(bridged8, frozenset({3, 4, 7, 10})) == [
+    # smaller (neighbor, edge id) entry; parallel edges pin the direction;
+    # each cycle is its (vertices, edge_ids) pair
+    walk = complementary_two_factor
+    assert walk(prism, frozenset({0, 3, 8})) == (((0, 2, 1, 4, 5, 3), (2, 1, 7, 4, 5, 6)),)
+    assert walk(bridged8, frozenset({3, 4, 7, 10})) == (
         ((0, 1, 2), (0, 2, 1)),
         ((3, 4, 7, 6, 5), (5, 8, 11, 9, 6)),
-    ]
-    assert walk(triple_edge, frozenset({0})) == [((0, 1), (1, 2))]
-    assert walk(triple_edge, frozenset({1})) == [((0, 1), (0, 2))]
+    )
+    assert walk(triple_edge, frozenset({0})) == (((0, 1), (1, 2)),)
+    assert walk(triple_edge, frozenset({1})) == (((0, 1), (0, 2)),)
 
 
 def _non_matchings(k4, petersen_graph, triple_edge):

@@ -11,11 +11,18 @@ import cubicscan.connectivity
 import cubicscan.verifier
 from cubicscan import CubicGraphError
 from cubicscan.cli import main
-from cubicscan.connectivity import girth, is_connected
+from cubicscan.connectivity import (
+    find_adjacent_triangles,
+    find_cycle_of_length,
+    find_square_triangle_pair,
+    find_two_cycle,
+    girth,
+    is_connected,
+)
 from cubicscan.enumeration import generate_cubic_graphs
 from cubicscan.formats import emit_edgelist
 from cubicscan.graphs import CubicGraph, canonical_form, from_edge_list, petersen, relabeled
-from cubicscan.verifier import CLAIM_IDS, verify_claims
+from cubicscan.verifier import CLAIM_IDS, _check_c8, verify_claims
 from oracles import (
     brute_edge_connectivity,
     brute_edge_cuts_by_bipartition,
@@ -127,6 +134,43 @@ def test_c8_equals_the_enumeration_oracle(
         assert verify_claims(g)["claims"]["C8"] == expected
         failing += not expected["holds"]
     assert failing  # some witness is compared, not only verdicts
+
+
+def test_each_claim_witness_is_its_check_s_return_value(
+    small_graphs,
+    random_multigraphs,
+    triple_edge,
+    k4,
+    k33,
+    prism,
+    petersen_graph,
+    heawood,
+    doubled_edge_ring,
+    no_perfect_matching10,
+):
+    graphs = [
+        *small_graphs,
+        *(triple_edge, k4, k33, prism, petersen_graph, heawood, doubled_edge_ring),
+        no_perfect_matching10,
+        *random_multigraphs,
+    ]
+    shown = set()
+    for g in filter(is_connected, graphs):
+        claims = verify_claims(g)["claims"]
+        checks = {
+            "C1": find_two_cycle(g),
+            "C2": find_adjacent_triangles(g),
+            "C3": find_square_triangle_pair(g),
+            "C4": find_cycle_of_length(g, 3),
+            "C8": _check_c8(g),
+        }
+        if girth(g) == 4:
+            checks["C5"] = {"girth": 4, "witness": find_cycle_of_length(g, 4)}
+        for cid, witness in checks.items():
+            assert claims[cid] == {"holds": witness is None, "witness": witness}, cid
+            if witness is not None:
+                shown.add(cid)
+    assert shown == {"C1", "C2", "C3", "C4", "C5", "C8"}  # each kind of witness is compared
 
 
 def test_triple_edge_report(triple_edge):
