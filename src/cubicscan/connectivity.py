@@ -1,16 +1,15 @@
 """Cuts, connectivity, girth, and small-cycle pattern detectors.
 
 All functions are pure and operate on immutable graphs. Each detector
-returns the witness that ``verify`` prints for its claim (C1 to C4, and
-C5 at girth 4), or None when the claim holds; the witness is fixed by
-the labeling alone, so that reports and golden tests are stable.
-Connectivity, bridges, edge connectivity and edge cuts all read one
-labeling: each edge's set of fundamental cycles as a bitmask, under
+returns the witness that ``verify`` prints for its claim (C1 to C4, C5
+at girth 4, C6 and C7), or None when the claim holds; the witness is
+fixed by the labeling alone, so that reports and golden tests are
+stable. Connectivity, bridges, edge connectivity and edge cuts all read
+one labeling: each edge's set of fundamental cycles as a bitmask, under
 which an edge set is a cut iff its labels XOR to 0. The labeling is
 built once per graph and kept on it, as ``adjacency`` is, so a graph
 asked several cut questions builds it once. A cut is the ascending
-tuple of its edge ids; ``cut_side`` reads the side that holds vertex 0
-down the spanning tree the labeling is built on.
+tuple of its edge ids.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graphs import CubicGraph, CubicGraphError
 
@@ -31,9 +30,9 @@ __all__ = [
     "find_adjacent_triangles",
     "find_square_triangle_pair",
     "find_cycle_of_length",
-    "edge_cuts",
-    "cut_side",
     "enumerate_3_edge_cuts",
+    "find_small_edge_cut",
+    "find_nonstar_3_edge_cut",
 ]
 
 
@@ -232,25 +231,16 @@ def find_cycle_of_length(g: CubicGraph, k: int) -> dict | None:
     return next((c for a in range(g.n) for c in cycles([a])), None)
 
 
-def edge_cuts(g: CubicGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """Every edge cut of size exactly k >= 1, as its ascending edge ids,
-    in ``combinations`` order.
+def _labeled_cuts(labels: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+    """Every edge cut of size exactly k >= 1 of the connected graph these
+    ``_cycle_labels`` labels come from, as its ascending edge ids, in
+    ``combinations`` order.
 
     A k-subset is a cut iff its labels XOR to 0 (see ``_cycle_labels``).
     The (k-1)-subsets are walked in ``combinations`` order, and each is
     completed by every higher edge id whose label cancels the subset's
-    XOR, looked up by label. A bad k or a disconnected graph raises at
-    the call, before the first cut.
+    XOR, looked up by label.
     """
-    if k < 1:
-        raise ValueError(f"cut size k must be at least 1, got k={k}")
-    count, labels, _, _ = _cycle_labels(g)
-    if count != 1:
-        raise CubicGraphError("cut enumeration requires a connected graph")
-    return _labeled_cuts(labels, k)
-
-
-def _labeled_cuts(labels: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
     by_label: dict[int, list[int]] = {}
     for eid, label in enumerate(labels):
         by_label.setdefault(label, []).append(eid)
@@ -264,13 +254,16 @@ def _labeled_cuts(labels: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_3_edge_cuts(g: CubicGraph) -> list[tuple[int, ...]]:
-    """All edge cuts of size exactly 3; see ``edge_cuts``."""
-    return list(edge_cuts(g, 3))
+    """All edge cuts of size exactly 3; see ``_labeled_cuts``."""
+    count, labels, _, _ = _cycle_labels(g)
+    if count != 1:
+        raise CubicGraphError("cut enumeration requires a connected graph")
+    return list(_labeled_cuts(labels, 3))
 
 
-def cut_side(g: CubicGraph, cut: Iterable[int]) -> tuple[int, ...]:
-    """The side of an edge cut that holds vertex 0, ascending; a
-    disconnected graph or an edge set that is not a cut raises.
+def _cut_side(g: CubicGraph, cut: tuple[int, ...]) -> list[int]:
+    """The side of an edge cut of a connected graph that holds vertex 0,
+    ascending.
 
     A vertex switches side from its parent in the BFS tree of
     ``_cycle_labels`` when its tree edge is in the cut. A cut meets
@@ -278,16 +271,31 @@ def cut_side(g: CubicGraph, cut: Iterable[int]) -> tuple[int, ...]:
     the tree path is one. A side need not be connected; tree parity,
     not a search of G - cut from vertex 0, gives such a side whole.
     """
-    count, labels, via, order = _cycle_labels(g)
-    if count != 1:
-        raise CubicGraphError("a cut side requires a connected graph")
-    cut = set(cut)
-    rest = 0
-    for eid in cut:
-        rest ^= labels[eid]
-    if rest:
-        raise ValueError(f"edges {sorted(cut)} are not an edge cut")
+    _, _, via, order = _cycle_labels(g)
     side = [True] * g.n
     for v in order[1:]:  # parents first, below the root 0
         side[v] = side[g.other_endpoint(via[v], v)] ^ (via[v] in cut)
-    return tuple(v for v in range(g.n) if side[v])
+    return [v for v in range(g.n) if side[v]]
+
+
+def find_small_edge_cut(g: CubicGraph) -> dict | None:
+    """C6's witness, ``{"edge_connectivity": k, "cut": [...]}`` for the
+    first edge cut of the minimum size k < 3, in ``combinations`` order,
+    or None if g is 3-edge-connected."""
+    k = edge_connectivity(g)
+    if k == 3:
+        return None
+    return {"edge_connectivity": k, "cut": list(next(_labeled_cuts(_cycle_labels(g)[1], k)))}
+
+
+def find_nonstar_3_edge_cut(g: CubicGraph) -> dict | None:
+    """C7's witness, ``{"cut_edges": [...], "side": [...]}`` for the first
+    3-edge cut that is not a vertex star, with its side that holds
+    vertex 0, or None if every 3-edge cut is a vertex star."""
+    # in a connected graph a cut fixes its sides, so a cut is a vertex
+    # star exactly when it is one vertex's three edge ids
+    stars = {frozenset(eid for _, eid in row) for row in g.adjacency}
+    for cut in enumerate_3_edge_cuts(g):
+        if frozenset(cut) not in stars:
+            return {"cut_edges": list(cut), "side": _cut_side(g, cut)}
+    return None

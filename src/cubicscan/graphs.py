@@ -65,8 +65,8 @@ class CubicGraphError(Exception):
     count the generator does not serve. A bad argument to a library
     function raises ``ValueError`` instead (a non-permutation for
     ``relabeled``, a non-endpoint for ``CubicGraph.other_endpoint``, k
-    out of range for ``edge_cuts`` or ``find_cycle_of_length``, a
-    non-cut for ``cut_side``); no command passes such an argument."""
+    not 3 or 4 for ``find_cycle_of_length``); no command passes such an
+    argument."""
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ shape. It holds ``report`` ("verify"), ``graph_certificate``,
 ``premise_holds``, ``premise_witness``, ``is_petersen`` and ``claims``,
 which maps each claim id to ``{"holds": bool, "witness": ...}``. Each
 claim check (the :mod:`cubicscan.connectivity` detectors for C1 to C4,
-and C5 at girth 4; ``_check_c8``; ``_neighborhood_structure``) returns
-the witness the report prints, or None, and ``_claim`` wraps it.
+C5 at girth 4, C6 and C7; ``_check_c8``; ``_neighborhood_structure``)
+returns the witness the report prints, or None, and ``_claim`` wraps it.
 
 No claim enumerates perfect matchings. C8 sets up the matching search
 once per graph and asks it a first-leaf query for each 3-edge path that
@@ -147,25 +147,8 @@ def verify_claims(g: CubicGraph) -> dict:
         short = connectivity.find_cycle_of_length(g, 4)
     claims["C5"] = _claim(None if girth_value == 5 else {"girth": girth_value, "witness": short})
 
-    lam = connectivity.edge_connectivity(g)
-    claims["C6"] = _claim(
-        None
-        if lam == 3
-        else {"edge_connectivity": lam, "cut": list(next(connectivity.edge_cuts(g, lam)))}
-    )
-
-    # in a connected graph a cut fixes its sides, so a cut is a vertex
-    # star exactly when it is one vertex's three edge ids
-    stars = {frozenset(eid for _, eid in row) for row in g.adjacency}
-    nonstar = next(
-        (c for c in connectivity.enumerate_3_edge_cuts(g) if frozenset(c) not in stars), None
-    )
-    claims["C7"] = _claim(
-        None
-        if nonstar is None
-        else {"cut_edges": list(nonstar), "side": list(connectivity.cut_side(g, nonstar))}
-    )
-
+    claims["C6"] = _claim(connectivity.find_small_edge_cut(g))
+    claims["C7"] = _claim(connectivity.find_nonstar_3_edge_cut(g))
     claims["C8"] = _claim(_check_c8(g))
 
     claims["FINAL"] = _claim(

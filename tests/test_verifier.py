@@ -14,6 +14,8 @@ from cubicscan.cli import main
 from cubicscan.connectivity import (
     find_adjacent_triangles,
     find_cycle_of_length,
+    find_nonstar_3_edge_cut,
+    find_small_edge_cut,
     find_square_triangle_pair,
     find_two_cycle,
     girth,
@@ -162,6 +164,8 @@ def test_each_claim_witness_is_its_check_s_return_value(
             "C2": find_adjacent_triangles(g),
             "C3": find_square_triangle_pair(g),
             "C4": find_cycle_of_length(g, 3),
+            "C6": find_small_edge_cut(g),
+            "C7": find_nonstar_3_edge_cut(g),
             "C8": _check_c8(g),
         }
         if girth(g) == 4:
@@ -170,7 +174,8 @@ def test_each_claim_witness_is_its_check_s_return_value(
             assert claims[cid] == {"holds": witness is None, "witness": witness}, cid
             if witness is not None:
                 shown.add(cid)
-    assert shown == {"C1", "C2", "C3", "C4", "C5", "C8"}  # each kind of witness is compared
+    # each kind of witness is compared
+    assert shown == {"C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8"}
 
 
 def test_triple_edge_report(triple_edge):
@@ -332,6 +337,18 @@ def test_report_json_shape(
         code = main(["verify", "-i", str(path), "--format", "edgelist", "--output", "json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out) == report
+
+
+def test_the_schema_rejects_hand_broken_cut_witnesses(bridged8):
+    report = verify_claims(bridged8)
+    jsonschema.validate(report, SCHEMA)
+    no_side = json.loads(json.dumps(report))
+    del no_side["claims"]["C7"]["witness"]["side"]
+    held_with_witness = json.loads(json.dumps(report))
+    held_with_witness["claims"]["C6"]["holds"] = True
+    for broken in (no_side, held_with_witness):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(broken, SCHEMA)
 
 
 def test_verify_claims_builds_the_cut_labels_once_per_graph(monkeypatch, bridged8, prism):
