@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-_CycleLabels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_CycleLabels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _cycle_labels(g: CubicGraph) -> _CycleLabels:
@@ -51,8 +51,9 @@ def _cycle_labels(g: CubicGraph) -> _CycleLabels:
 def _build_cycle_labels(g: CubicGraph) -> _CycleLabels:
     """Component count; per edge id, the set of fundamental cycles
     through that edge as a bitmask; and the BFS spanning forest the
-    labels come from, as the tree edge into each vertex (-1 at a root)
-    and the visit order, which puts every vertex after its parent.
+    labels come from, as the tree edge into each vertex and each
+    vertex's parent (both -1 at a root), and the visit order, which puts
+    every vertex after its parent.
 
     A BFS spanning forest is built; the i-th non-tree edge gets bit
     ``1 << i`` (its own fundamental cycle), and the tree edge into v
@@ -71,6 +72,7 @@ def _build_cycle_labels(g: CubicGraph) -> _CycleLabels:
     label 0, and two edges form a cut iff their labels are equal.
     """
     via = [-1] * g.n  # tree edge into each vertex, -1 at a root
+    parent = [-1] * g.n
     seen = [False] * g.n
     order: list[int] = []
     count = 0
@@ -87,6 +89,7 @@ def _build_cycle_labels(g: CubicGraph) -> _CycleLabels:
                 if not seen[w]:
                     seen[w] = True
                     via[w] = eid
+                    parent[w] = u
                     queue.append(w)
     tree = set(via)
     labels = [0] * len(g.edges)
@@ -101,8 +104,8 @@ def _build_cycle_labels(g: CubicGraph) -> _CycleLabels:
     for v in reversed(order):
         if via[v] >= 0:
             labels[via[v]] = acc[v]
-            acc[g.other_endpoint(via[v], v)] ^= acc[v]
-    return count, tuple(labels), tuple(via), tuple(order)
+            acc[parent[v]] ^= acc[v]
+    return count, tuple(labels), tuple(via), tuple(parent), tuple(order)
 
 
 def is_connected(g: CubicGraph) -> bool:
@@ -120,7 +123,7 @@ def edge_connectivity(g: CubicGraph) -> int:
     1 if some edge is a bridge, 2 if two edges share a label (see
     ``_cycle_labels``), else 3, which every vertex star reaches.
     """
-    count, labels, _, _ = _cycle_labels(g)
+    count, labels, *_ = _cycle_labels(g)
     if count != 1:
         raise CubicGraphError("edge connectivity requires a connected graph")
     if 0 in labels:
@@ -255,7 +258,7 @@ def _labeled_cuts(labels: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_3_edge_cuts(g: CubicGraph) -> list[tuple[int, ...]]:
     """All edge cuts of size exactly 3; see ``_labeled_cuts``."""
-    count, labels, _, _ = _cycle_labels(g)
+    count, labels, *_ = _cycle_labels(g)
     if count != 1:
         raise CubicGraphError("cut enumeration requires a connected graph")
     return list(_labeled_cuts(labels, 3))
@@ -271,10 +274,10 @@ def _cut_side(g: CubicGraph, cut: tuple[int, ...]) -> list[int]:
     the tree path is one. A side need not be connected; tree parity,
     not a search of G - cut from vertex 0, gives such a side whole.
     """
-    _, _, via, order = _cycle_labels(g)
+    _, _, via, parent, order = _cycle_labels(g)
     side = [True] * g.n
     for v in order[1:]:  # parents first, below the root 0
-        side[v] = side[g.other_endpoint(via[v], v)] ^ (via[v] in cut)
+        side[v] = side[parent[v]] ^ (via[v] in cut)
     return [v for v in range(g.n) if side[v]]
 
 

@@ -170,8 +170,7 @@ def _int_pair(line: str, form: str) -> tuple[int, int]:
 
 def parse_edgelist(text: bytes | str) -> CubicGraph:
     """Parse the plain-text format: first line ``n m``, then m lines ``u v``."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+    text = _as_bytes(text).decode("ascii")
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not lines:
         raise CubicGraphError("empty edge-list input")

@@ -64,9 +64,8 @@ class CubicGraphError(Exception):
     non-cubic or disconnected graph, a malformed encoding or a vertex
     count the generator does not serve. A bad argument to a library
     function raises ``ValueError`` instead (a non-permutation for
-    ``relabeled``, a non-endpoint for ``CubicGraph.other_endpoint``, k
-    not 3 or 4 for ``find_cycle_of_length``); no command passes such an
-    argument."""
+    ``relabeled``, k not 3 or 4 for ``find_cycle_of_length``); no
+    command passes such an argument."""
 
 
 @dataclass(frozen=True)
@@ -127,14 +126,6 @@ class CubicGraph:
     def _canonical(self) -> str:
         blocks = _lexmin_blocks(self.n, self.neighbor_lists)
         return _certificate(self.n, [(t, w) for t, (blk, _) in enumerate(blocks) for w in blk])
-
-    def other_endpoint(self, eid: int, vertex: int) -> int:
-        u, v = self.edges[eid]
-        if vertex == u:
-            return v
-        if vertex == v:
-            return u
-        raise ValueError(f"vertex {vertex} is not an endpoint of edge {eid}")
 
 
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> CubicGraph:

@@ -198,21 +198,16 @@ def _matched_edge_ids(g: CubicGraph, matching: Iterable[int]) -> list[int]:
     """
     edges = g.edges
     matched = [-1] * g.n
-    size = 0
+    covers = [0] * g.n
     for eid in matching:
         if not 0 <= eid < len(edges):
             raise CubicGraphError(f"edge id {eid} out of range")
-        u, v = edges[eid]
-        matched[u] = matched[v] = eid
-        size += 1
-    # n/2 ids that leave no vertex uncovered cover every vertex once
-    if 2 * size != g.n or -1 in matched:
-        covers = [0] * g.n
-        for eid in matching:
-            for v in edges[eid]:
-                covers[v] += 1
-        v = next(v for v, count in enumerate(covers) if count != 1)
-        raise CubicGraphError(f"matching covers vertex {v} {covers[v]} times, not once")
+        for v in edges[eid]:
+            matched[v] = eid
+            covers[v] += 1
+    for v, count in enumerate(covers):
+        if count != 1:
+            raise CubicGraphError(f"matching covers vertex {v} {count} times, not once")
     return matched
 
 
@@ -226,27 +221,21 @@ def complementary_two_factor(g: CubicGraph, matching: PerfectMatching) -> tuple[
     a perfect matching.
     """
     matched = _matched_edge_ids(g, matching)
-    # g.adjacency is sorted by (neighbor, edge id), and so is each row here
-    factor_adj = [
-        [entry for entry in row if entry[1] != matched[v]] for v, row in enumerate(g.adjacency)
-    ]
     cycles = []
     visited = [False] * g.n
     for start in range(g.n):
         if visited[start]:
             continue
-        vertices = [start]
-        edge_ids = []
-        visited[start] = True
-        current, via = factor_adj[start][0]
-        edge_ids.append(via)
-        while current != start:
-            visited[current] = True
-            vertices.append(current)
-            first, second = factor_adj[current]
-            nxt, eid = second if first[1] == via else first
-            edge_ids.append(eid)
-            current, via = nxt, eid
+        vertices, edge_ids = [], []
+        # leave each vertex by its first adjacency entry that is neither
+        # matched nor the edge it was entered by; the start counts as
+        # entered by its matched edge, so it leaves by its smaller entry
+        v, via = start, matched[start]
+        while not visited[v]:
+            visited[v] = True
+            vertices.append(v)
+            v, via = next(e for e in g.adjacency[v] if e[1] not in (matched[v], via))
+            edge_ids.append(via)
         cycles.append((tuple(vertices), tuple(edge_ids)))
     return tuple(cycles)
 

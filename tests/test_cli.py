@@ -516,6 +516,26 @@ def test_graph6_input_reads_as_its_sparse6_line(capsys, monkeypatch, petersen_gr
                 assert got == expected, (command, output, fmt)
 
 
+def test_non_ascii_digits_in_a_stdin_edge_list_exit_two(capsys, monkeypatch):
+    # the fullwidth header reads as "4 6" to int(); an edge list on stdin
+    # is rejected as the same bytes are with --format auto
+    import io
+
+    text = "\uff14 \uff16\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+    for command in ("analyze", "verify"):
+        errors = []
+        for fmt in ("auto", "edgelist"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main([command, "-i", "-", "--format", fmt]) == 2, (command, fmt)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[1] == errors[0] == (
+            "cubicscan: error: 'ascii' codec can't encode character '\\uff14' in "
+            "position 0: ordinal not in range(128)\n"
+        )
+
+
 def test_size_byte_below_63_exits_two(capsys, monkeypatch):
     import io
 

@@ -157,6 +157,17 @@ def test_edgelist_rejects_wrong_edge_count():
         parse_edgelist("2 3\n0 1\n0 1\n")
 
 
+def test_edgelist_rejects_non_ascii_digits_as_auto_does():
+    # int() would read the fullwidth header as "4 6" and the rest as K4
+    text = "\uff14 \uff16\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+    messages = []
+    for parser in (parse_edgelist, parse_auto):
+        with pytest.raises(UnicodeError) as info:
+            parser(text)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_auto_detects_all_three_formats(petersen_graph, k4):
     assert is_isomorphic(parse_auto(emit_sparse6(petersen_graph)), petersen_graph)
     assert is_isomorphic(parse_auto(emit_edgelist(k4)), k4)

@@ -78,15 +78,6 @@ def test_relabeled_rejects_a_mapping_that_is_not_a_permutation(k4):
     assert str(info.value) == "mapping is not a permutation of the vertex set"
 
 
-def test_other_endpoint_rejects_a_vertex_off_the_edge():
-    g = petersen()
-    u, v = g.edges[0]
-    assert (g.other_endpoint(0, u), g.other_endpoint(0, v)) == (v, u)
-    with pytest.raises(ValueError) as info:
-        g.other_endpoint(0, 7)
-    assert str(info.value) == "vertex 7 is not an endpoint of edge 0"
-
-
 def test_loop_rejected():
     with pytest.raises(CubicGraphError, match="^loop at vertex 3$"):
         from_edge_list(4, ALL_K4_PAIRS[:-1] + [(3, 3)])
